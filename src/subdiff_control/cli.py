@@ -31,7 +31,14 @@ from .errors import (
     SubdiffError,
 )
 from .penalized import epsilon_sweep
-from .rhum import control_energy, discrete_gramian, final_free_state, solve_rhum, verify_transfer
+from .rhum import (
+    Gramian,
+    control_energy,
+    discrete_gramian,
+    final_free_state,
+    solve_rhum,
+    verify_transfer,
+)
 
 EXIT_CONFIG = 1
 EXIT_NON_STRATEGIC = 2
@@ -62,11 +69,13 @@ def _read_control_csv(path: Path) -> np.ndarray:
     return np.array(vals)
 
 
-def _analysis_payload(config: ProblemConfig) -> dict:
+def _analysis_payload(config: ProblemConfig, gram: Gramian | None = None) -> dict:
+    """Strategic / reachability report; ``gram`` is the discrete Gramian if already built."""
     actuator = config.build_actuator()
     target = config.build_target()
     report = is_strategic(actuator, target, config.tolerances.gramian_rank)
-    gram, _, _ = discrete_gramian(actuator, target, config.alpha, config.grid())
+    if gram is None:
+        gram, _, _ = discrete_gramian(actuator, target, config.alpha, config.grid())
     free = final_free_state(config.alpha, config.T, config.y0_array())
     rhs = -(target.polar_basis.T @ free.coeffs)
     eec = eec_criterion(gram.matrix, rhs, config.tolerances.gramian_rank)
@@ -94,7 +103,7 @@ def _cmd_synthesize(config: ProblemConfig, out: Path) -> int:
         ["t"] + [f"coeff_{i+1}" for i in range(config.n_modes)],
         (np.concatenate([[t], row]) for t, row in zip(nodes, transfer.trajectory)),
     )
-    analysis = _analysis_payload(config)
+    analysis = _analysis_payload(config, sol.gramian)
     report = {
         "strategic": analysis["strategic"],
         "dead_modes": analysis["dead_modes"],
@@ -192,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="path to the JSON problem configuration")
         p.add_argument("--out", default=".", help="output directory (created if missing)")
-        p.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
         if name == "sweep":
             p.add_argument("--eps", required=True, help="comma-separated decreasing penalty values")
     return parser
@@ -204,8 +212,6 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        if args.seed is not None:
-            np.random.seed(args.seed)
         if args.command == "synthesize":
             return _cmd_synthesize(config, out)
         if args.command == "verify":

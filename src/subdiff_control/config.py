@@ -42,7 +42,6 @@ class ProblemConfig:
     actuator: dict
     target_modes: tuple
     tolerances: Tolerances = field(default_factory=Tolerances)
-    quad_n: int = 128
 
     def __post_init__(self):
         if not (isinstance(self.alpha, (int, float)) and 0.0 < self.alpha < 1.0):
@@ -80,8 +79,6 @@ class ProblemConfig:
             )
         if len(set(modes)) != len(modes):
             raise ConfigError("target_modes", f"duplicate indices in {list(modes)}")
-        if not (isinstance(self.quad_n, int) and self.quad_n >= 32):
-            raise ConfigError("quad_n", f"must be an integer >= 32, got {self.quad_n!r}")
         if not isinstance(self.tolerances, Tolerances):
             raise ConfigError("tolerances", "must be a Tolerances instance")
 
@@ -115,7 +112,6 @@ class ProblemConfig:
                 "verify_distance": self.tolerances.verify_distance,
                 "quadrature": self.tolerances.quadrature,
             },
-            "quad_n": self.quad_n,
         }
 
     def __eq__(self, other) -> bool:
@@ -157,7 +153,6 @@ def loads_config(data: dict) -> ProblemConfig:
         actuator=data["actuator"],
         target_modes=tuple(data["target_modes"]),
         tolerances=tol,
-        quad_n=data.get("quad_n", 128),
     )
 
 

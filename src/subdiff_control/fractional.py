@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import linalg as sla
 
 from .errors import DomainError
 from .special import gamma_fn
@@ -64,14 +65,14 @@ def _derivative(values: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def _kernel_convolve(values: np.ndarray, h: float, gamma: float) -> np.ndarray:
-    """out[k] = integral_{0}^{t_k} (t_k - s)^gamma * interp(values)(s) ds.
+def _kernel_weights(n: int, h: float, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodal weights of integral_{0}^{t_k} (t_k - s)^gamma * interp(values)(s) ds.
 
-    interp is the piecewise-linear interpolant; the kernel moments over each
-    interval are exact, so the only error is interpolation error.
-    Requires gamma > -1.
+    interp is the piecewise-linear interpolant of n samples at spacing h; the
+    kernel moments over each interval are exact, so the only error is
+    interpolation error.  Requires gamma > -1.  The interval at distance m
+    from t_k gives w_left[m] to its left sample and w_right[m] to its right.
     """
-    n = values.size
     m = np.arange(n)  # interval distances in units of h
     edge = (m * h) ** (gamma + 1.0)
     m0 = (edge[1:] - edge[:-1]) / (gamma + 1.0)
@@ -80,14 +81,24 @@ def _kernel_convolve(values: np.ndarray, h: float, gamma: float) -> np.ndarray:
     # On interval at distance m from t_k (tau in [mh,(m+1)h]) the interpolant
     # reads z_j + (z_{j+1}-z_j)((m+1) - tau/h), so the two nodal weights are:
     c_slope = (m[:-1] + 1.0) * m0 - m1 / h
-    w_left = m0 - c_slope
-    w_right = c_slope
+    return m0 - c_slope, c_slope
+
+
+def _kernel_convolve(values: np.ndarray, h: float, gamma: float) -> np.ndarray:
+    """out[k] = integral_{0}^{t_k} (t_k - s)^gamma * interp(values)(s) ds."""
+    n = values.size
+    w_left, w_right = _kernel_weights(n, h, gamma)
     out = np.zeros(n)
-    for k in range(1, n):
-        wl = w_left[k - 1 :: -1]
-        wr = w_right[k - 1 :: -1]
-        out[k] = float(np.dot(values[:k], wl) + np.dot(values[1 : k + 1], wr))
+    out[1:] = np.convolve(values[:-1], w_left)[: n - 1] + np.convolve(values[1:], w_right)[: n - 1]
     return out
+
+
+def _kernel_matrix(n: int, h: float, gamma: float) -> np.ndarray:
+    """Matrix M with M @ values = _kernel_convolve(values, h, gamma) for n samples."""
+    w_left, w_right = _kernel_weights(n, h, gamma)
+    mat = sla.toeplitz(np.concatenate([[0.0], w_left]), np.zeros(n))
+    mat[1:, 1:] += sla.toeplitz(w_right, np.zeros(n - 1))
+    return mat
 
 
 def caputo_left(sig: SampledSignal, alpha: float) -> SampledSignal:

@@ -1,4 +1,4 @@
-"""Independent minimum-energy computation by quadratic penalization.
+"""Minimum-energy control by quadratic penalization, as a cross-check.
 
 The control energy (1/2) integral u^2 is augmented with (1/(2 eps)) times the
 squared dynamics residual of the trajectory, while the terminal condition
@@ -9,14 +9,18 @@ compared row by row against the adjoint-seed synthesis.
 Two residual forms are supported:
 
 * ``"mild"`` (default): residual = z - (free state + control convolution),
-  i.e. the defect against the mild-solution representation discretized by the
-  same product quadrature as the simulator.  As eps -> 0 the minimizer
-  converges to the simulator-consistent minimum-energy control, so the sweep
-  is a genuine cross-check of the synthesis route.
+  the defect against the mild-solution simulator.  Before T the trajectory
+  is unconstrained, so the optimal residual vanishes there; at T it is the
+  miss A u - c of the terminal map A from ``discrete_gramian``.  The
+  minimizer is therefore the ridge-regularized Gramian solve, in closed form:
+  (G + (eps / w_T) I) phi = c, u = A^T phi / w.  As eps -> 0 it tends to the
+  synthesis control; it checks the solve, not the discretization.
 * ``"caputo"``: residual = (discrete Caputo derivative of z) - lambda z - b u
-  using the L1-style product quadrature, the literal strong-form defect.  Its
+  using the L1-style product quadrature, the literal strong-form defect,
+  minimized through the dense KKT system of the constrained quadratic.  Its
   eps -> 0 limit is the minimum-energy control of the *L1-discretized*
-  dynamics, which differs from the mild-solution control by the scheme gap.
+  dynamics, which differs from the mild-solution control by the scheme gap;
+  this is the independent cross-check of the synthesis.
 """
 
 from __future__ import annotations
@@ -29,10 +33,16 @@ from scipy import linalg as sla
 from .actuators import is_strategic
 from .config import ProblemConfig
 from .errors import DomainError, InfeasibleError
-from .fractional import SampledSignal, caputo_left
-from .rhum import _trapezoid_weights, control_energy, final_free_state, solve_rhum
-from .spectral import TimeGrid, convolution_matrix, eigenvalues
-from .special import mittag_leffler
+from .fractional import _derivative, _kernel_matrix
+from .rhum import (
+    _trapezoid_weights,
+    control_energy,
+    discrete_gramian,
+    final_free_state,
+    solve_rhum,
+)
+from .spectral import TimeGrid, eigenvalues, mild_trajectory
+from .special import gamma_fn
 
 RESIDUAL_FORMS = ("mild", "caputo")
 
@@ -58,30 +68,10 @@ def energy(u: np.ndarray, grid: TimeGrid) -> float:
 
 
 def _caputo_matrix(grid: TimeGrid, alpha: float) -> np.ndarray:
-    """Dense matrix of the discrete Caputo operator on grid node samples."""
+    """Dense matrix of the discrete Caputo operator (``caputo_left``) on grid node samples."""
     n = grid.n_steps + 1
-    mat = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        mat[:, j] = caputo_left(SampledSignal(e, 0.0, grid.T), alpha).values
-    return mat
-
-
-def _free_trajectory(config: ProblemConfig) -> np.ndarray:
-    """Uncontrolled mild trajectory, shape (n_steps+1, N)."""
-    grid = config.grid()
-    nodes = grid.nodes
-    lam = eigenvalues(config.n_modes)
-    y0 = config.y0_array()
-    out = np.empty((grid.n_steps + 1, config.n_modes))
-    out[0] = y0
-    for k in range(1, grid.n_steps + 1):
-        for i in range(config.n_modes):
-            out[k, i] = y0[i] * mittag_leffler(
-                config.alpha, 1.0, lam[i] * nodes[k] ** config.alpha
-            )
-    return out
+    weights = _kernel_matrix(n, grid.h, -alpha)
+    return weights @ _derivative(np.eye(n), grid.h) / gamma_fn(1.0 - alpha)
 
 
 def dynamics_residual(
@@ -89,23 +79,14 @@ def dynamics_residual(
 ) -> np.ndarray:
     """Defect of (u, z) against the discrete dynamics; shape (n_steps+1, N)."""
     grid = config.grid()
-    actuator = config.build_actuator()
-    lam = eigenvalues(config.n_modes)
+    influence = config.build_actuator().influence
     u = np.asarray(u, dtype=float)
     z = np.asarray(z, dtype=float)
     if form == "mild":
-        free = _free_trajectory(config)
-        res = z - free
-        for i in range(config.n_modes):
-            L = convolution_matrix(config.alpha, grid, lam[i])
-            res[:, i] -= actuator.influence[i] * (L @ u)
-        return res
+        return z - mild_trajectory(config.alpha, grid, config.y0_array(), influence, u)
     if form == "caputo":
         D = _caputo_matrix(grid, config.alpha)
-        res = np.empty_like(z)
-        for i in range(config.n_modes):
-            res[:, i] = D @ z[:, i] - lam[i] * z[:, i] - actuator.influence[i] * u
-        return res
+        return D @ z - eigenvalues(config.n_modes) * z - np.outer(u, influence)
     raise DomainError(f"unknown residual form {form!r}")
 
 
@@ -134,13 +115,33 @@ def _check_feasible(config: ProblemConfig) -> None:
 
 
 def solve_penalized(problem: PenalizedProblem) -> PenalizedSolution:
-    """Minimize the penalized quadratic subject to the hard terminal constraint.
+    """Minimize the penalized quadratic subject to the hard terminal constraint."""
+    _check_feasible(problem.config)
+    if problem.residual_form == "mild":
+        return _solve_mild(problem.config, problem.epsilon)
+    return _solve_caputo(problem.config, problem.epsilon)
 
-    Unknowns are the control node samples and the per-mode trajectory samples;
-    the KKT system of the equality-constrained quadratic is solved densely.
-    """
-    config = problem.config
-    _check_feasible(config)
+
+def _solve_mild(config: ProblemConfig, eps: float) -> PenalizedSolution:
+    """Ridge-regularized Gramian solve: (G + (eps / w_T) I) phi = c, u = A^T phi / w."""
+    grid = config.grid()
+    actuator = config.build_actuator()
+    target = config.build_target()
+    gram, A, w = discrete_gramian(actuator, target, config.alpha, grid)
+    free = final_free_state(config.alpha, config.T, config.y0_array())
+    c = -(target.polar_basis.T @ free.coeffs)
+    phi = np.linalg.solve(gram.matrix + (eps / w[-1]) * np.eye(c.size), c)
+    u = (A.T @ phi) / w
+    z = mild_trajectory(config.alpha, grid, config.y0_array(), actuator.influence, u)
+    # the hard terminal constraint: the penalized z(T) lies in G
+    z[-1] -= target.project(z[-1])
+    res_norm = float(np.sqrt(w[-1]) * np.linalg.norm(A @ u - c))
+    en = energy(u, grid)
+    return PenalizedSolution(u, z, en + res_norm**2 / (2.0 * eps), en, res_norm)
+
+
+def _solve_caputo(config: ProblemConfig, eps: float) -> PenalizedSolution:
+    """Dense KKT solve over x = [u; z_1; ...; z_N] with the L1-scheme residual R x."""
     grid = config.grid()
     actuator = config.build_actuator()
     target = config.build_target()
@@ -153,67 +154,41 @@ def solve_penalized(problem: PenalizedProblem) -> PenalizedSolution:
     # operator vanishes there by construction), so that node is dropped from
     # the residual norm; the initial value is a hard constraint instead.
     w_res = w.copy()
-    if problem.residual_form == "caputo":
-        w_res[0] = 0.0
+    w_res[0] = 0.0
 
-    # residual = R x + r0 with x = [u; z_1; ...; z_N]
+    D = _caputo_matrix(grid, config.alpha)
     R = np.zeros((N * n, dim))
-    r0 = np.zeros(N * n)
-    if problem.residual_form == "mild":
-        free = _free_trajectory(config)
-        for i in range(N):
-            rows = slice(i * n, (i + 1) * n)
-            L = convolution_matrix(config.alpha, grid, lam[i])
-            R[rows, 0:n] = -actuator.influence[i] * L
-            R[rows, (i + 1) * n : (i + 2) * n] = np.eye(n)
-            r0[i * n : (i + 1) * n] = -free[:, i]
-    else:
-        D = _caputo_matrix(grid, config.alpha)
-        for i in range(N):
-            rows = slice(i * n, (i + 1) * n)
-            R[rows, 0:n] = -actuator.influence[i] * np.eye(n)
-            R[rows, (i + 1) * n : (i + 2) * n] = D - lam[i] * np.eye(n)
+    for i in range(N):
+        rows = slice(i * n, (i + 1) * n)
+        R[rows, 0:n] = -actuator.influence[i] * np.eye(n)
+        R[rows, (i + 1) * n : (i + 2) * n] = D - lam[i] * np.eye(n)
 
     wfull = np.tile(w_res, N)
     Q = np.zeros((dim, dim))
     Q[np.arange(n), np.arange(n)] = w
-    Q += (1.0 / problem.epsilon) * (R.T * wfull) @ R
-    q = (1.0 / problem.epsilon) * R.T @ (wfull * r0)
+    Q += (1.0 / eps) * (R.T * wfull) @ R
 
-    # hard constraints: terminal annihilator coordinates of z vanish;
-    # the Caputo form additionally pins the initial samples z_i(0) = y0_i.
-    cons_rows = []
-    cons_rhs = []
-    for p in range(target.polar_dim):
-        row = np.zeros(dim)
-        for i in range(N):
-            row[(i + 1) * n + (n - 1)] = target.polar_basis[i, p]
-        cons_rows.append(row)
-        cons_rhs.append(0.0)
-    if problem.residual_form == "caputo":
-        y0 = config.y0_array()
-        for i in range(N):
-            row = np.zeros(dim)
-            row[(i + 1) * n] = 1.0
-            cons_rows.append(row)
-            cons_rhs.append(y0[i])
-    C = np.array(cons_rows) if cons_rows else np.zeros((0, dim))
-    d = np.array(cons_rhs)
+    # hard constraints: terminal annihilator coordinates of z vanish and the
+    # initial samples are pinned, z_i(0) = y0_i.
+    npolar = target.polar_dim
+    z_start = np.arange(1, N + 1) * n
+    C = np.zeros((npolar + N, dim))
+    C[:npolar, z_start + n - 1] = target.polar_basis.T
+    C[npolar + np.arange(N), z_start] = 1.0
+    d = np.concatenate([np.zeros(npolar), config.y0_array()])
 
     kkt = np.zeros((dim + C.shape[0], dim + C.shape[0]))
     kkt[:dim, :dim] = Q
     kkt[:dim, dim:] = C.T
     kkt[dim:, :dim] = C
-    rhs = np.concatenate([-q, d])
-    sol = sla.solve(kkt, rhs, assume_a="sym")
+    sol = sla.solve(kkt, np.concatenate([np.zeros(dim), d]), assume_a="sym")
     x = sol[:dim]
     u = x[:n]
     z = x[n:].reshape(N, n).T
-    res = (R @ x + r0).reshape(N, n).T
+    res = (R @ x).reshape(N, n).T
     res_norm = float(np.sqrt(np.sum(w_res[:, None] * res * res)))
     en = energy(u, grid)
-    J = en + res_norm**2 / (2.0 * problem.epsilon)
-    return PenalizedSolution(u, z, J, en, res_norm)
+    return PenalizedSolution(u, z, en + res_norm**2 / (2.0 * eps), en, res_norm)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from .errors import DomainError, NonStrategicError, QuadratureError, SingularGra
 from .spectral import (
     SpectralField,
     TimeGrid,
+    apply_K,
     apply_R,
     eigenvalues,
     mild_trajectory,
@@ -60,11 +61,7 @@ class AdjointState:
     def coeffs_at(self, t: float) -> np.ndarray:
         if not 0.0 < t <= self.T:
             raise DomainError(f"adjoint state is evaluated on (0, T], got t={t}")
-        lam = eigenvalues(self.phi0.size)
-        fac = np.array(
-            [mittag_leffler(self.alpha, self.alpha, li * t**self.alpha) for li in lam]
-        )
-        return t ** (self.alpha - 1.0) * fac * self.phi0
+        return t ** (self.alpha - 1.0) * apply_K(self.alpha, t, SpectralField(self.phi0)).coeffs
 
 
 def observation(actuator: Actuator, adjoint: AdjointState, t: float) -> float:

@@ -17,13 +17,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy import linalg as sla
 
 from .errors import DomainError, QuadratureError
 from .special import mittag_leffler
 
 SQRT2 = math.sqrt(2.0)
+
+# Node tables kept by ``_table``: one (N, n_steps+1) float array each.
+TABLE_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -113,18 +118,30 @@ def apply_K(alpha: float, t: float, state: SpectralField) -> SpectralField:
     return SpectralField(state.coeffs * fac)
 
 
-def propagator_factors(alpha: float, grid: TimeGrid, lam: np.ndarray) -> np.ndarray:
-    """E_{a,1}(lambda_i * t_k^a) at the grid nodes; shape (N, n_steps+1)."""
+def propagator_factors(alpha: float, grid: TimeGrid, n_modes: int) -> np.ndarray:
+    """E_{a,1}(lambda_i * t_k^a) at the grid nodes; shape (N, n_steps+1), read-only.
+
+    This is the only place the node table is evaluated.  Consumers read it
+    through ``_table``, which memoizes it, so a warm problem builds nothing.
+    """
+    _check_alpha(alpha)
+    lam = eigenvalues(n_modes)
     nodes = grid.nodes
-    out = np.empty((lam.size, grid.n_steps + 1))
+    out = np.empty((n_modes, grid.n_steps + 1))
     out[:, 0] = 1.0
     for i, lam_i in enumerate(lam):
         for k in range(1, grid.n_steps + 1):
             out[i, k] = mittag_leffler(alpha, 1.0, lam_i * nodes[k] ** alpha)
+    out.setflags(write=False)
     return out
 
 
-def kernel_step_integrals(alpha: float, grid: TimeGrid, lam: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _table(alpha: float, grid: TimeGrid, n_modes: int) -> np.ndarray:
+    return propagator_factors(alpha, grid, n_modes)
+
+
+def kernel_step_integrals(alpha: float, grid: TimeGrid, n_modes: int) -> np.ndarray:
     """Exact per-step mass of the weighted kernel; shape (N, n_steps).
 
     g[i, m] = integral over [mh, (m+1)h] of tau^(a-1) E_{a,a}(lambda_i tau^a),
@@ -132,8 +149,7 @@ def kernel_step_integrals(alpha: float, grid: TimeGrid, lam: np.ndarray) -> np.n
     (d/dt E_{a,1}(lambda t^a) = lambda t^(a-1) E_{a,a}(lambda t^a)), so the
     singular corner costs no quadrature error at all.
     """
-    ef = propagator_factors(alpha, grid, lam)
-    return np.diff(ef, axis=1) / lam[:, None]
+    return np.diff(_table(alpha, grid, n_modes), axis=1) / eigenvalues(n_modes)[:, None]
 
 
 def mild_trajectory(
@@ -156,10 +172,9 @@ def mild_trajectory(
             f"control must have {grid.n_steps + 1} node samples, got shape {u.shape}"
         )
     n_modes = y0.size
-    lam = eigenvalues(n_modes)
     u_mid = 0.5 * (u[:-1] + u[1:])
-    free = propagator_factors(alpha, grid, lam)
-    g = kernel_step_integrals(alpha, grid, lam)
+    free = _table(alpha, grid, n_modes)
+    g = kernel_step_integrals(alpha, grid, n_modes)
     traj = np.empty((grid.n_steps + 1, n_modes))
     for i in range(n_modes):
         conv = np.convolve(g[i], u_mid)
@@ -174,26 +189,26 @@ def terminal_control_map(alpha: float, grid: TimeGrid, influence: np.ndarray) ->
     """Matrix H with y_controlled(T) = H @ u_nodes; shape (N, n_steps+1)."""
     _check_alpha(alpha)
     influence = np.asarray(influence, dtype=float)
-    lam = eigenvalues(influence.size)
-    g = kernel_step_integrals(alpha, grid, lam)
-    n = grid.n_steps
-    H = np.zeros((influence.size, n + 1))
-    for i in range(influence.size):
-        # kernel mass for step j (looking back from T): g[i, n-1-j]
-        wm = g[i, ::-1] * influence[i]
-        H[i, :-1] += 0.5 * wm
-        H[i, 1:] += 0.5 * wm
+    # kernel mass of step j, looking back from T, is g[:, n-1-j]
+    wm = kernel_step_integrals(alpha, grid, influence.size)[:, ::-1] * influence[:, None]
+    H = np.zeros((influence.size, grid.n_steps + 1))
+    H[:, :-1] += 0.5 * wm
+    H[:, 1:] += 0.5 * wm
     return H
 
 
 def convolution_matrix(alpha: float, grid: TimeGrid, lam_i: float) -> np.ndarray:
-    """Matrix L with (L @ u_nodes)[k] = mode-i controlled response at t_k (unit influence)."""
+    """Matrix L with (L @ u_nodes)[k] = mode-i controlled response at t_k (unit influence).
+
+    ``lam_i`` must be one of the model eigenvalues -(i pi)^2.
+    """
     _check_alpha(alpha)
-    g = kernel_step_integrals(alpha, grid, np.array([lam_i]))[0]
-    n = grid.n_steps
-    L = np.zeros((n + 1, n + 1))
-    for k in range(1, n + 1):
-        seg = g[k - 1 :: -1]  # step j of k gets weight g[k-1-j]
-        L[k, :k] += 0.5 * seg
-        L[k, 1 : k + 1] += 0.5 * seg
+    mode = round(math.sqrt(max(-lam_i, 0.0)) / math.pi)
+    if mode < 1 or eigenvalues(mode)[-1] != lam_i:
+        raise DomainError(f"{lam_i} is not an eigenvalue -(i pi)^2 of the model")
+    g = kernel_step_integrals(alpha, grid, mode)[-1]
+    # step j of node k carries g[k-1-j], shared by the samples j and j+1
+    half = np.concatenate([[0.0], 0.5 * g])
+    L = sla.toeplitz(half, np.zeros_like(half))
+    L[:, 1:] += L[:, :-1]
     return L

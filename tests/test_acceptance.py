@@ -389,7 +389,6 @@ class TestCriterion9Determinism:
             actuator={"kind": "zone", "a": 0.1, "b": 0.6},
             target_modes=(2, 4),
             tolerances=Tolerances(verify_distance=3e-5),
-            quad_n=64,
         )
         path = tmp_path / "cfg.json"
         save_config(cfg, path)

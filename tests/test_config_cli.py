@@ -46,7 +46,6 @@ class TestValidation:
             ("T", -1.0),
             ("n_modes", 0),
             ("n_steps", 1),
-            ("quad_n", 16),
         ],
     )
     def test_scalar_field_errors(self, field, value):
@@ -116,7 +115,6 @@ class TestRoundTrip:
 
     def test_defaults_applied(self):
         cfg = loads_config(_cfg_dict())
-        assert cfg.quad_n == 128
         assert cfg.tolerances == Tolerances()
 
 

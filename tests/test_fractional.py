@@ -11,6 +11,9 @@ from scipy.integrate import quad
 from subdiff_control.errors import DomainError
 from subdiff_control.fractional import (
     SampledSignal,
+    _kernel_convolve,
+    _kernel_matrix,
+    _kernel_weights,
     caputo_left,
     reflect,
     rl_deriv_left,
@@ -119,6 +122,23 @@ class TestCaputo:
         for bad in (0.0, 1.0, 1.5):
             with pytest.raises(DomainError):
                 caputo_left(sig, bad)
+
+
+class TestKernelQuadrature:
+    @pytest.mark.parametrize("gamma", [-0.7, -0.25, 0.4])
+    def test_convolution_and_matrix_match_node_loop(self, gamma):
+        # Reference: the product quadrature summed node by node.
+        h = 0.05
+        values = np.cos(np.arange(41) * h) + np.arange(41) * h
+        w_left, w_right = _kernel_weights(values.size, h, gamma)
+        loop = np.zeros(values.size)
+        for k in range(1, values.size):
+            loop[k] = np.dot(values[:k], w_left[k - 1 :: -1]) + np.dot(
+                values[1 : k + 1], w_right[k - 1 :: -1]
+            )
+        assert np.allclose(_kernel_convolve(values, h, gamma), loop, rtol=1e-13, atol=0.0)
+        matrix = _kernel_matrix(values.size, h, gamma)
+        assert np.allclose(matrix @ values, loop, rtol=1e-13, atol=0.0)
 
 
 class TestRLIntegral:

@@ -7,8 +7,10 @@ import pytest
 
 from subdiff_control.config import ProblemConfig
 from subdiff_control.errors import DomainError, InfeasibleError
+from subdiff_control.fractional import SampledSignal, caputo_left
 from subdiff_control.penalized import (
     PenalizedProblem,
+    _caputo_matrix,
     dynamics_residual,
     energy,
     epsilon_sweep,
@@ -49,6 +51,12 @@ class TestBasics:
         assert energy(np.sin(grid_pi.nodes), grid_pi) == pytest.approx(
             math.pi / 4.0, rel=1e-4
         )
+
+    def test_caputo_matrix_applies_caputo_left(self):
+        grid = TimeGrid(2.0, 40)
+        v = np.cos(3.0 * grid.nodes) + grid.nodes**2
+        expect = caputo_left(SampledSignal(v, 0.0, grid.T), 0.35).values
+        assert np.allclose(_caputo_matrix(grid, 0.35) @ v, expect, rtol=1e-12, atol=1e-13)
 
     def test_mild_residual_vanishes_on_simulated_pair(self):
         cfg = _small_config()
@@ -140,6 +148,44 @@ class TestSolvePenalized:
         sol = solve_penalized(PenalizedProblem(cfg, 1e-4))
         tgt = cfg.build_target()
         assert tgt.distance_to(sol.z_eps[-1]) <= 1e-9
+
+
+class TestOptimality:
+    """The penalized minimizer, checked against its objective alone.
+
+    J(u, z) = energy(u) + (1/(2 eps)) * weighted squared ``dynamics_residual``
+    is rebuilt from its definition; no solver algebra is reused.
+    """
+
+    EPS = 1e-3
+
+    @staticmethod
+    def _objective(cfg, u, z, form, eps):
+        res = dynamics_residual(cfg, u, z, form=form)
+        w = np.full(cfg.n_steps + 1, cfg.T / cfg.n_steps)
+        w[[0, -1]] *= 0.5
+        if form == "caputo":
+            w[0] = 0.0  # the discrete Caputo operator is identically zero at t = 0
+        return energy(u, cfg.grid()) + float(np.sum(w[:, None] * res * res)) / (2.0 * eps)
+
+    @pytest.mark.parametrize("form", ["mild", "caputo"])
+    def test_objective_matches_and_feasible_perturbations_never_lower_it(self, form):
+        cfg = _small_config()
+        tgt = cfg.build_target()
+        sol = solve_penalized(PenalizedProblem(cfg, self.EPS, residual_form=form))
+        J = self._objective(cfg, sol.u_eps, sol.z_eps, form, self.EPS)
+        assert J == pytest.approx(sol.J_eps, rel=1e-9)
+        assert tgt.distance_to(sol.z_eps[-1]) <= 1e-12
+        rng = np.random.default_rng(17)
+        # Down to 1e-9 relative, where a nonzero gradient outweighs the curvature.
+        for scale in np.logspace(-2, -9, 20):
+            du = scale * np.max(np.abs(sol.u_eps)) * rng.normal(size=sol.u_eps.shape)
+            dz = scale * np.max(np.abs(sol.z_eps)) * rng.normal(size=sol.z_eps.shape)
+            dz[-1] -= tgt.project(dz[-1])  # keep the terminal annihilator coordinates at 0
+            if form == "caputo":
+                dz[0] = 0.0  # keep z(0) = y0
+            J_pert = self._objective(cfg, sol.u_eps + du, sol.z_eps + dz, form, self.EPS)
+            assert J_pert >= J * (1.0 - 1e-12)
 
 
 class TestSweep:

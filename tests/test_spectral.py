@@ -18,6 +18,7 @@ from subdiff_control.spectral import (
     eigenfunction,
     eigenvalues,
     mild_trajectory,
+    propagator_factors,
 )
 from subdiff_control.special import mittag_leffler
 
@@ -108,6 +109,14 @@ class TestPropagators:
                 )
             )
         assert apply_K(alpha, t, _unit(1, 1)).coeffs[0] == pytest.approx(acc, abs=1e-9)
+
+    def test_node_table_is_read_only(self):
+        grid = TimeGrid(1.0, 8)
+        table = propagator_factors(0.5, grid, 2)
+        assert table.shape == (2, 9)
+        assert table[1, 3] == mittag_leffler(0.5, 1.0, eigenvalues(2)[1] * grid.nodes[3] ** 0.5)
+        with pytest.raises(ValueError):
+            table[1, 3] = 0.0
 
     def test_K_requires_positive_time(self):
         with pytest.raises(DomainError):

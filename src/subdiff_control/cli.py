@@ -35,8 +35,8 @@ from .rhum import (
     Gramian,
     control_energy,
     discrete_gramian,
-    final_free_state,
     solve_rhum,
+    steering_rhs,
     verify_transfer,
 )
 
@@ -76,9 +76,7 @@ def _analysis_payload(config: ProblemConfig, gram: Gramian | None = None) -> dic
     report = is_strategic(actuator, target, config.tolerances.gramian_rank)
     if gram is None:
         gram, _, _ = discrete_gramian(actuator, target, config.alpha, config.grid())
-    free = final_free_state(config.alpha, config.T, config.y0_array())
-    rhs = -(target.polar_basis.T @ free.coeffs)
-    eec = eec_criterion(gram.matrix, rhs, config.tolerances.gramian_rank)
+    eec = eec_criterion(gram.matrix, steering_rhs(config), config.tolerances.gramian_rank)
     return {
         "strategic": report["strategic"],
         "dead_modes": report["dead_modes"],

@@ -16,10 +16,9 @@ from .spectral import TimeGrid
 class Tolerances:
     gramian_rank: float = 1e-10
     verify_distance: float = 1e-4
-    quadrature: float = 1e-8
 
     def __post_init__(self):
-        for name in ("gramian_rank", "verify_distance", "quadrature"):
+        for name in ("gramian_rank", "verify_distance"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and v > 0):
                 raise ConfigError(f"tolerances.{name}", f"must be a positive number, got {v!r}")
@@ -110,7 +109,6 @@ class ProblemConfig:
             "tolerances": {
                 "gramian_rank": self.tolerances.gramian_rank,
                 "verify_distance": self.tolerances.verify_distance,
-                "quadrature": self.tolerances.quadrature,
             },
         }
 
@@ -130,7 +128,8 @@ def loads_config(data: dict) -> ProblemConfig:
     if not isinstance(tol_data, dict):
         raise ConfigError("tolerances", "must be an object")
     try:
-        tol = Tolerances(**tol_data)
+        # Older files carry a ``quadrature`` tolerance that nothing read; drop it.
+        tol = Tolerances(**{k: v for k, v in tol_data.items() if k != "quadrature"})
     except TypeError as exc:
         raise ConfigError("tolerances", str(exc)) from exc
     alpha = data["alpha"]

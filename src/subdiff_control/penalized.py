@@ -6,18 +6,23 @@ squared dynamics residual of the trajectory, while the terminal condition
 Letting eps -> 0 recovers the constrained minimum-energy control, which is
 compared row by row against the adjoint-seed synthesis.
 
-Two residual forms are supported:
+Eliminating z reduces both residual forms to one ridge solve,
+(A W^-1 A^T + eps P^T diag(s) P) phi = c, u = A^T phi / w (``_ridge_solve``):
+A maps control node samples to annihilator coordinates of the final state,
+P is the annihilator basis and s_i the terminal sensitivity of mode i to its
+residual.  The forms differ only in A, c, s and in how z is recovered:
 
 * ``"mild"`` (default): residual = z - (free state + control convolution),
   the defect against the mild-solution simulator.  Before T the trajectory
-  is unconstrained, so the optimal residual vanishes there; at T it is the
-  miss A u - c of the terminal map A from ``discrete_gramian``.  The
-  minimizer is therefore the ridge-regularized Gramian solve, in closed form:
-  (G + (eps / w_T) I) phi = c, u = A^T phi / w.  As eps -> 0 it tends to the
+  is unconstrained, so the optimal residual vanishes there; at T it shifts
+  z(T) directly with the trapezoid end weight, s_i = 1 / w_T.  A is the
+  spectral map of ``discrete_gramian``, so this is the ridge-regularized
+  Gramian solve (G + (eps / w_T) I) phi = c.  As eps -> 0 it tends to the
   synthesis control; it checks the solve, not the discretization.
 * ``"caputo"``: residual = (discrete Caputo derivative of z) - lambda z - b u
-  using the L1-style product quadrature, the literal strong-form defect,
-  minimized through the dense KKT system of the constrained quadratic.  Its
+  using the L1-style product quadrature, the literal strong-form defect.
+  Each mode of the scheme gives z from u and the residual, so A is the
+  terminal map of the L1 scheme, not of the Mittag-Leffler table.  Its
   eps -> 0 limit is the minimum-energy control of the *L1-discretized*
   dynamics, which differs from the mild-solution control by the scheme gap;
   this is the independent cross-check of the synthesis.
@@ -28,9 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
-from .actuators import is_strategic
+from .actuators import Actuator, TargetSubspace, is_strategic
 from .config import ProblemConfig
 from .errors import DomainError, InfeasibleError
 from .fractional import _derivative, _kernel_matrix
@@ -38,8 +42,8 @@ from .rhum import (
     _trapezoid_weights,
     control_energy,
     discrete_gramian,
-    final_free_state,
     solve_rhum,
+    steering_rhs,
 )
 from .spectral import TimeGrid, eigenvalues, mild_trajectory
 from .special import gamma_fn
@@ -99,15 +103,11 @@ class PenalizedSolution:
     residual_norm: float       # weighted L2 norm of the dynamics residual
 
 
-def _check_feasible(config: ProblemConfig) -> None:
-    actuator = config.build_actuator()
-    target = config.build_target()
+def _check_feasible(config: ProblemConfig, actuator: Actuator, target: TargetSubspace) -> None:
     report = is_strategic(actuator, target, config.tolerances.gramian_rank)
     if report["strategic"]:
         return
-    free = final_free_state(config.alpha, config.T, config.y0_array())
-    c = target.polar_basis.T @ free.coeffs
-    if float(np.linalg.norm(c)) > 1e-14:
+    if float(np.linalg.norm(steering_rhs(config))) > 1e-14:
         raise InfeasibleError(
             "terminal constraint unreachable: actuator has dead modes "
             f"{report['dead_modes']} but the free final state leaves the target"
@@ -116,79 +116,74 @@ def _check_feasible(config: ProblemConfig) -> None:
 
 def solve_penalized(problem: PenalizedProblem) -> PenalizedSolution:
     """Minimize the penalized quadratic subject to the hard terminal constraint."""
-    _check_feasible(problem.config)
-    if problem.residual_form == "mild":
-        return _solve_mild(problem.config, problem.epsilon)
-    return _solve_caputo(problem.config, problem.epsilon)
-
-
-def _solve_mild(config: ProblemConfig, eps: float) -> PenalizedSolution:
-    """Ridge-regularized Gramian solve: (G + (eps / w_T) I) phi = c, u = A^T phi / w."""
-    grid = config.grid()
+    config, eps = problem.config, problem.epsilon
     actuator = config.build_actuator()
     target = config.build_target()
-    gram, A, w = discrete_gramian(actuator, target, config.alpha, grid)
-    free = final_free_state(config.alpha, config.T, config.y0_array())
-    c = -(target.polar_basis.T @ free.coeffs)
-    phi = np.linalg.solve(gram.matrix + (eps / w[-1]) * np.eye(c.size), c)
-    u = (A.T @ phi) / w
+    _check_feasible(config, actuator, target)
+    solve = _solve_mild if problem.residual_form == "mild" else _solve_caputo
+    u, z, res_norm = solve(config, actuator, target, eps)
+    en = energy(u, config.grid())
+    return PenalizedSolution(u, z, en + res_norm**2 / (2.0 * eps), en, res_norm)
+
+
+def _ridge_solve(
+    A: np.ndarray, w: np.ndarray, c: np.ndarray, P: np.ndarray, s: np.ndarray, eps: float
+):
+    """Minimize (1/2) u^T W u + (1/(2 eps)) sum_i t_i^2 / s_i subject to A u + P^T t = c.
+
+    t_i is the shift of z_i(T) that the residual buys, at least weighted
+    squared residual t_i^2 / s_i.  Returns (u, t, residual_norm).
+    """
+    gram = (A / w) @ A.T
+    phi = np.linalg.solve(gram + eps * (P.T * s) @ P, c)
+    t = eps * s * (P @ phi)
+    return (A.T @ phi) / w, t, float(np.sqrt(np.sum(t * t / s)))
+
+
+def _solve_mild(config: ProblemConfig, actuator: Actuator, target: TargetSubspace, eps: float):
+    """Ridge solve on the spectral terminal map, s_i = 1 / w_T; returns (u, z, residual_norm)."""
+    grid = config.grid()
+    _, A, w = discrete_gramian(actuator, target, config.alpha, grid)
+    s = np.full(config.n_modes, 1.0 / w[-1])
+    u, _, res_norm = _ridge_solve(A, w, steering_rhs(config), target.polar_basis, s, eps)
     z = mild_trajectory(config.alpha, grid, config.y0_array(), actuator.influence, u)
     # the hard terminal constraint: the penalized z(T) lies in G
     z[-1] -= target.project(z[-1])
-    res_norm = float(np.sqrt(w[-1]) * np.linalg.norm(A @ u - c))
-    en = energy(u, grid)
-    return PenalizedSolution(u, z, en + res_norm**2 / (2.0 * eps), en, res_norm)
+    return u, z, res_norm
 
 
-def _solve_caputo(config: ProblemConfig, eps: float) -> PenalizedSolution:
-    """Dense KKT solve over x = [u; z_1; ...; z_N] with the L1-scheme residual R x."""
+def _solve_caputo(config: ProblemConfig, actuator: Actuator, target: TargetSubspace, eps: float):
+    """Ridge solve on the terminal map of the L1 scheme; returns (u, z, residual_norm).
+
+    Per mode, with z_i(0) = y0_i pinned and rho_i the residual on nodes 1..n,
+    z_i[1:] = M_i^-1 (b_i u[1:] - m y0_i + rho_i), M_i = (D - lambda_i I)[1:, 1:],
+    m = D[1:, 0].  So z_i(T) = l_i^T (...) with l_i = M_i^-T e_last, and the
+    cheapest rho_i that shifts z_i(T) by t_i is (t_i / s_i) W_r^-1 l_i with
+    s_i = l_i^T W_r^-1 l_i.
+    """
     grid = config.grid()
-    actuator = config.build_actuator()
-    target = config.build_target()
+    b = actuator.influence
+    P = target.polar_basis
+    y0 = config.y0_array()
     lam = eigenvalues(config.n_modes)
-    n = grid.n_steps + 1
-    N = config.n_modes
-    dim = (N + 1) * n
     w = _trapezoid_weights(grid)
     # The strong-form residual is meaningless at t = 0 (the discrete Caputo
-    # operator vanishes there by construction), so that node is dropped from
-    # the residual norm; the initial value is a hard constraint instead.
-    w_res = w.copy()
-    w_res[0] = 0.0
-
+    # operator vanishes there by construction), so node 0 carries no weight.
+    w_r = w[1:]
     D = _caputo_matrix(grid, config.alpha)
-    R = np.zeros((N * n, dim))
-    for i in range(N):
-        rows = slice(i * n, (i + 1) * n)
-        R[rows, 0:n] = -actuator.influence[i] * np.eye(n)
-        R[rows, (i + 1) * n : (i + 2) * n] = D - lam[i] * np.eye(n)
-
-    wfull = np.tile(w_res, N)
-    Q = np.zeros((dim, dim))
-    Q[np.arange(n), np.arange(n)] = w
-    Q += (1.0 / eps) * (R.T * wfull) @ R
-
-    # hard constraints: terminal annihilator coordinates of z vanish and the
-    # initial samples are pinned, z_i(0) = y0_i.
-    npolar = target.polar_dim
-    z_start = np.arange(1, N + 1) * n
-    C = np.zeros((npolar + N, dim))
-    C[:npolar, z_start + n - 1] = target.polar_basis.T
-    C[npolar + np.arange(N), z_start] = 1.0
-    d = np.concatenate([np.zeros(npolar), config.y0_array()])
-
-    kkt = np.zeros((dim + C.shape[0], dim + C.shape[0]))
-    kkt[:dim, :dim] = Q
-    kkt[:dim, dim:] = C.T
-    kkt[dim:, :dim] = C
-    sol = sla.solve(kkt, np.concatenate([np.zeros(dim), d]), assume_a="sym")
-    x = sol[:dim]
-    u = x[:n]
-    z = x[n:].reshape(N, n).T
-    res = (R @ x).reshape(N, n).T
-    res_norm = float(np.sqrt(np.sum(w_res[:, None] * res * res)))
-    en = energy(u, grid)
-    return PenalizedSolution(u, z, en + res_norm**2 / (2.0 * eps), en, res_norm)
+    Dr, m = D[1:, 1:], D[1:, 0]
+    eye = np.eye(grid.n_steps)
+    L = np.stack([np.linalg.solve((Dr - li * eye).T, eye[-1]) for li in lam])
+    s = np.sum(L * L / w_r, axis=1)
+    A = np.zeros((target.polar_dim, grid.n_steps + 1))
+    A[:, 1:] = P.T @ (b[:, None] * L)
+    u, t, res_norm = _ridge_solve(A, w, P.T @ (y0 * (L @ m)), P, s, eps)
+    z = np.empty((grid.n_steps + 1, config.n_modes))
+    z[0] = y0
+    for i, li in enumerate(lam):
+        rho = (t[i] / s[i]) * L[i] / w_r
+        z[1:, i] = np.linalg.solve(Dr - li * eye, b[i] * u[1:] - m * y0[i] + rho)
+    return u, z, res_norm
 
 
 @dataclass(frozen=True)

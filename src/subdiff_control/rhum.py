@@ -36,6 +36,7 @@ from .errors import DomainError, NonStrategicError, QuadratureError, SingularGra
 from .spectral import (
     SpectralField,
     TimeGrid,
+    _table,
     apply_K,
     apply_R,
     eigenvalues,
@@ -160,6 +161,12 @@ def final_free_state(alpha: float, T: float, y0: np.ndarray) -> SpectralField:
     return apply_R(alpha, T, SpectralField(np.asarray(y0, dtype=float)))
 
 
+def steering_rhs(config: ProblemConfig) -> np.ndarray:
+    """c = -P^T R(T) y0, with R(T) read off the last column of the memoized node table."""
+    free_T = _table(config.alpha, config.grid(), config.n_modes)[:, -1] * config.y0_array()
+    return -(config.build_target().polar_basis.T @ free_T)
+
+
 @dataclass(frozen=True)
 class RhumSolution:
     phi0: np.ndarray          # adjoint seed in full mode coordinates (in the annihilator)
@@ -181,8 +188,7 @@ def solve_rhum(config: ProblemConfig) -> RhumSolution:
     target = config.build_target()
     grid = config.grid()
     report = is_strategic(actuator, target, config.tolerances.gramian_rank)
-    free = final_free_state(config.alpha, config.T, config.y0_array())
-    c = -(target.polar_basis.T @ free.coeffs)
+    c = steering_rhs(config)
     gram, A, w = discrete_gramian(actuator, target, config.alpha, grid)
     npolar = target.polar_dim
     if npolar == 0 or float(np.linalg.norm(c)) == 0.0:

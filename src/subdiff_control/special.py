@@ -109,10 +109,10 @@ def _ml_series(p: float, q: float, z: float, x: float) -> float:
                     f"(p={p}, q={q}, z={z})"
                 )
             val = float(acc)
-            max_f = float(max_abs)
+            log_peak = mp.log10(max_abs)  # in mpf: the peak term can overflow a double
+            abs_err = float(mp.mpf(10) ** (log_peak + 2 - dps))
         if not math.isfinite(val):
             raise EvaluationError(f"Mittag-Leffler overflow (p={p}, q={q}, z={z})")
-        abs_err = max_f * 10.0 ** (2 - dps)
         if abs_err <= 1e-13 * max(abs(val), 1e-300):
             return val
         if abs_err <= 1e-40 and abs(val) <= 10.0 * abs_err:
@@ -120,7 +120,7 @@ def _ml_series(p: float, q: float, z: float, x: float) -> float:
             # the sum genuinely vanishes (e.g. E_{2,1} at a cosine zero).
             return 0.0
         # Not enough digits survived the cancellation; retry with more.
-        dps = dps + int(math.log10(max(max_f, 10.0))) + 30
+        dps = dps + int(max(log_peak, 1)) + 30
     raise EvaluationError(
         f"Mittag-Leffler series lost precision (p={p}, q={q}, z={z})"
     )

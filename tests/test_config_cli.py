@@ -86,6 +86,15 @@ class TestValidation:
         with pytest.raises(ConfigError):
             Tolerances(verify_distance=-1e-3)
 
+    def test_unknown_tolerance_keys(self):
+        # older files carry the unread "quadrature" tolerance: it is dropped
+        cfg = loads_config(_cfg_dict(tolerances={"verify_distance": 2e-5, "quadrature": 1e-8}))
+        assert cfg.tolerances == Tolerances(verify_distance=2e-5)
+        assert "quadrature" not in cfg.to_dict()["tolerances"]
+        with pytest.raises(ConfigError) as exc:
+            loads_config(_cfg_dict(tolerances={"quadrature_tol": 1e-8}))
+        assert exc.value.field == "tolerances"
+
     def test_loads_requires_fields(self):
         data = _cfg_dict()
         del data["alpha"]

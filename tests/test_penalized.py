@@ -168,9 +168,25 @@ class TestOptimality:
             w[0] = 0.0  # the discrete Caputo operator is identically zero at t = 0
         return energy(u, cfg.grid()) + float(np.sum(w[:, None] * res * res)) / (2.0 * eps)
 
-    @pytest.mark.parametrize("form", ["mild", "caputo"])
-    def test_objective_matches_and_feasible_perturbations_never_lower_it(self, form):
-        cfg = _small_config()
+    CONFIGS = {
+        "": {},
+        # exact steering: every mode is annihilated, so P^T diag(s) P has full rank
+        "exact-": {"target_modes": ()},
+        # dead mode 3 excited by y0, which is compatible because G contains it
+        "dead_mode-": {
+            "actuator": {"kind": "pointwise", "b": 1.0 / 3.0},
+            "y0": (1.0, 0.5, 1.0),
+            "target_modes": (1, 3),
+        },
+    }
+
+    @pytest.mark.parametrize(
+        "overrides,form",
+        [(o, f) for o in CONFIGS.values() for f in ("mild", "caputo")],
+        ids=[k + f for k in CONFIGS for f in ("mild", "caputo")],
+    )
+    def test_objective_matches_and_feasible_perturbations_never_lower_it(self, overrides, form):
+        cfg = _small_config(**overrides)
         tgt = cfg.build_target()
         sol = solve_penalized(PenalizedProblem(cfg, self.EPS, residual_form=form))
         J = self._objective(cfg, sol.u_eps, sol.z_eps, form, self.EPS)

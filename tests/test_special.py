@@ -115,6 +115,24 @@ class TestMittagLeffler:
                 oracle = float(acc)
             assert mittag_leffler(p, q, z) == pytest.approx(oracle, rel=1e-10)
 
+    def test_peak_term_beyond_double_range(self):
+        # For p near 1 the series runs at any |z|; at z = -700 its peak term
+        # (~1e324) overflows a double although the sum is ~2e-8.
+        p = q = 0.99
+        z = -700.0
+        with mp.workdps(400):
+            acc = mp.mpf(0)
+            pw = mp.mpf(1)
+            pm, zm = mp.mpf(p), mp.mpf(z)
+            for k in range(4000):
+                term = pw * mp.rgamma(pm * k + pm)
+                acc += term
+                if k > 1000 and abs(term) < mp.mpf(10) ** -60:
+                    break
+                pw *= zm
+            oracle = float(acc)
+        assert mittag_leffler(p, q, z) == pytest.approx(oracle, rel=1e-12)
+
     def test_monotone_decay_in_time(self):
         lam = -(math.pi**2)
         for alpha in (0.3, 0.5, 0.8):

@@ -65,7 +65,12 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _read_control_csv(path: Path) -> np.ndarray:
     lines = path.read_text(encoding="utf-8").strip().splitlines()
-    vals = [float(line.split(",")[1]) for line in lines[1:]]
+    vals = []
+    for k, line in enumerate(lines[1:], start=2):
+        try:
+            vals.append(float(line.split(",")[1]))
+        except (IndexError, ValueError):
+            raise ConfigError("<control>", f"line {k} of {path} is not 't,u': {line!r}") from None
     return np.array(vals)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -10,6 +11,18 @@ import numpy as np
 from .actuators import Actuator, TargetSubspace, make_pointwise, make_target, make_zone
 from .errors import ConfigError
 from .spectral import TimeGrid
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_array(v) -> bool:
+    return isinstance(v, (list, tuple, np.ndarray))
 
 
 @dataclass(frozen=True)
@@ -20,7 +33,7 @@ class Tolerances:
     def __post_init__(self):
         for name in ("gramian_rank", "verify_distance"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and v > 0):
+            if not (_is_number(v) and v > 0):
                 raise ConfigError(f"tolerances.{name}", f"must be a positive number, got {v!r}")
 
 
@@ -43,33 +56,46 @@ class ProblemConfig:
     tolerances: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self):
-        if not (isinstance(self.alpha, (int, float)) and 0.0 < self.alpha < 1.0):
+        for name in ("alpha", "T"):
+            if not _is_number(getattr(self, name)):
+                raise ConfigError(name, f"must be a number, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha", f"must lie strictly in (0,1), got {self.alpha!r}")
-        if not (isinstance(self.T, (int, float)) and self.T > 0):
+        if not self.T > 0:
             raise ConfigError("T", f"must be positive, got {self.T!r}")
-        if not (isinstance(self.n_modes, int) and self.n_modes >= 1):
-            raise ConfigError("n_modes", f"must be an integer >= 1, got {self.n_modes!r}")
-        if not (isinstance(self.n_steps, int) and self.n_steps >= 2):
-            raise ConfigError("n_steps", f"must be an integer >= 2, got {self.n_steps!r}")
+        for name, low in (("n_modes", 1), ("n_steps", 2)):
+            v = getattr(self, name)
+            if not (_is_int(v) and v >= low):
+                raise ConfigError(name, f"must be an integer >= {low}, got {v!r}")
+            object.__setattr__(self, name, int(v))
+        if not (_is_array(self.y0) and all(_is_number(v) for v in self.y0)):
+            raise ConfigError("y0", f"must be an array of numbers, got {self.y0!r}")
         y0 = tuple(float(v) for v in self.y0)
         object.__setattr__(self, "y0", y0)
         if len(y0) != self.n_modes:
             raise ConfigError("y0", f"must have n_modes = {self.n_modes} entries, got {len(y0)}")
         if not all(np.isfinite(v) for v in y0):
             raise ConfigError("y0", "entries must be finite")
+        if not isinstance(self.actuator, dict):
+            raise ConfigError("actuator", f"must be an object, got {self.actuator!r}")
         act = dict(self.actuator)
         object.__setattr__(self, "actuator", act)
         kind = act.get("kind")
         if kind == "zone":
             a, b = act.get("a"), act.get("b")
-            if a is None or b is None or not (0.0 <= a < b <= 1.0):
+            if not (_is_number(a) and _is_number(b) and 0.0 <= a < b <= 1.0):
                 raise ConfigError("actuator", f"zone needs 0 <= a < b <= 1, got a={a!r}, b={b!r}")
         elif kind == "pointwise":
             b = act.get("b")
-            if b is None or not (0.0 < b < 1.0):
+            if not (_is_number(b) and 0.0 < b < 1.0):
                 raise ConfigError("actuator", f"pointwise needs b strictly in (0,1), got {b!r}")
         else:
             raise ConfigError("actuator.kind", f"must be 'zone' or 'pointwise', got {kind!r}")
+        if not (_is_array(self.target_modes) and all(_is_int(i) for i in self.target_modes)):
+            raise ConfigError(
+                "target_modes", f"must be an array of integers, got {self.target_modes!r}"
+            )
         modes = tuple(int(i) for i in self.target_modes)
         object.__setattr__(self, "target_modes", modes)
         if any(i < 1 or i > self.n_modes for i in modes):
@@ -132,27 +158,7 @@ def loads_config(data: dict) -> ProblemConfig:
         tol = Tolerances(**{k: v for k, v in tol_data.items() if k != "quadrature"})
     except TypeError as exc:
         raise ConfigError("tolerances", str(exc)) from exc
-    alpha = data["alpha"]
-    T = data["T"]
-    for name, v in (("alpha", alpha), ("T", T)):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(name, f"must be a number, got {v!r}")
-    if not isinstance(data["y0"], (list, tuple)):
-        raise ConfigError("y0", "must be an array")
-    if not isinstance(data["actuator"], dict):
-        raise ConfigError("actuator", "must be an object")
-    if not isinstance(data["target_modes"], (list, tuple)):
-        raise ConfigError("target_modes", "must be an array")
-    return ProblemConfig(
-        alpha=float(alpha),
-        T=float(T),
-        n_modes=data["n_modes"] if isinstance(data["n_modes"], int) else data["n_modes"],
-        n_steps=data["n_steps"] if isinstance(data["n_steps"], int) else data["n_steps"],
-        y0=tuple(data["y0"]),
-        actuator=data["actuator"],
-        target_modes=tuple(data["target_modes"]),
-        tolerances=tol,
-    )
+    return ProblemConfig(tolerances=tol, **{key: data[key] for key in required})
 
 
 def load_config(path) -> ProblemConfig:

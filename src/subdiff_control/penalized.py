@@ -10,7 +10,8 @@ Eliminating z reduces both residual forms to one ridge solve,
 (A W^-1 A^T + eps P^T diag(s) P) phi = c, u = A^T phi / w (``_ridge_solve``):
 A maps control node samples to annihilator coordinates of the final state,
 P is the annihilator basis and s_i the terminal sensitivity of mode i to its
-residual.  The forms differ only in A, c, s and in how z is recovered:
+residual.  The forms differ only in A, c, s and in how z is recovered, so each
+has one builder of that system, and a sweep builds it once for all eps:
 
 * ``"mild"`` (default): residual = z - (free state + control convolution),
   the defect against the mild-solution simulator.  Before T the trajectory
@@ -66,9 +67,7 @@ class PenalizedProblem:
             )
 
 
-def energy(u: np.ndarray, grid: TimeGrid) -> float:
-    """Trapezoid quadrature of (1/2) integral u(t)^2 dt."""
-    return control_energy(u, grid)
+energy = control_energy  # trapezoid quadrature of (1/2) integral u(t)^2 dt
 
 
 def _caputo_matrix(grid: TimeGrid, alpha: float) -> np.ndarray:
@@ -103,29 +102,6 @@ class PenalizedSolution:
     residual_norm: float       # weighted L2 norm of the dynamics residual
 
 
-def _check_feasible(config: ProblemConfig, actuator: Actuator, target: TargetSubspace) -> None:
-    report = is_strategic(actuator, target, config.tolerances.gramian_rank)
-    if report["strategic"]:
-        return
-    if float(np.linalg.norm(steering_rhs(config))) > 1e-14:
-        raise InfeasibleError(
-            "terminal constraint unreachable: actuator has dead modes "
-            f"{report['dead_modes']} but the free final state leaves the target"
-        )
-
-
-def solve_penalized(problem: PenalizedProblem) -> PenalizedSolution:
-    """Minimize the penalized quadratic subject to the hard terminal constraint."""
-    config, eps = problem.config, problem.epsilon
-    actuator = config.build_actuator()
-    target = config.build_target()
-    _check_feasible(config, actuator, target)
-    solve = _solve_mild if problem.residual_form == "mild" else _solve_caputo
-    u, z, res_norm = solve(config, actuator, target, eps)
-    en = energy(u, config.grid())
-    return PenalizedSolution(u, z, en + res_norm**2 / (2.0 * eps), en, res_norm)
-
-
 def _ridge_solve(
     A: np.ndarray, w: np.ndarray, c: np.ndarray, P: np.ndarray, s: np.ndarray, eps: float
 ):
@@ -140,26 +116,30 @@ def _ridge_solve(
     return (A.T @ phi) / w, t, float(np.sqrt(np.sum(t * t / s)))
 
 
-def _solve_mild(config: ProblemConfig, actuator: Actuator, target: TargetSubspace, eps: float):
-    """Ridge solve on the spectral terminal map, s_i = 1 / w_T; returns (u, z, residual_norm)."""
+def _mild_system(config: ProblemConfig, actuator: Actuator, target: TargetSubspace):
+    """Spectral terminal map with s_i = 1 / w_T; z is the simulated trajectory."""
     grid = config.grid()
     _, A, w = discrete_gramian(actuator, target, config.alpha, grid)
     s = np.full(config.n_modes, 1.0 / w[-1])
-    u, _, res_norm = _ridge_solve(A, w, steering_rhs(config), target.polar_basis, s, eps)
-    z = mild_trajectory(config.alpha, grid, config.y0_array(), actuator.influence, u)
-    # the hard terminal constraint: the penalized z(T) lies in G
-    z[-1] -= target.project(z[-1])
-    return u, z, res_norm
+
+    def recover(u, t):
+        z = mild_trajectory(config.alpha, grid, config.y0_array(), actuator.influence, u)
+        # the hard terminal constraint: the penalized z(T) lies in G
+        z[-1] -= target.project(z[-1])
+        return z
+
+    return (A, w, steering_rhs(config), target.polar_basis, s), recover
 
 
-def _solve_caputo(config: ProblemConfig, actuator: Actuator, target: TargetSubspace, eps: float):
-    """Ridge solve on the terminal map of the L1 scheme; returns (u, z, residual_norm).
+def _caputo_system(config: ProblemConfig, actuator: Actuator, target: TargetSubspace):
+    """Terminal map of the L1 scheme; z is recovered from u and the residual.
 
     Per mode, with z_i(0) = y0_i pinned and rho_i the residual on nodes 1..n,
     z_i[1:] = M_i^-1 (b_i u[1:] - m y0_i + rho_i), M_i = (D - lambda_i I)[1:, 1:],
     m = D[1:, 0].  So z_i(T) = l_i^T (...) with l_i = M_i^-T e_last, and the
     cheapest rho_i that shifts z_i(T) by t_i is (t_i / s_i) W_r^-1 l_i with
-    s_i = l_i^T W_r^-1 l_i.
+    s_i = l_i^T W_r^-1 l_i.  Recovering z solves each M_i again: keeping N dense
+    factors would double a sweep's peak memory.
     """
     grid = config.grid()
     b = actuator.influence
@@ -175,15 +155,42 @@ def _solve_caputo(config: ProblemConfig, actuator: Actuator, target: TargetSubsp
     eye = np.eye(grid.n_steps)
     L = np.stack([np.linalg.solve((Dr - li * eye).T, eye[-1]) for li in lam])
     s = np.sum(L * L / w_r, axis=1)
-    A = np.zeros((target.polar_dim, grid.n_steps + 1))
-    A[:, 1:] = P.T @ (b[:, None] * L)
-    u, t, res_norm = _ridge_solve(A, w, P.T @ (y0 * (L @ m)), P, s, eps)
-    z = np.empty((grid.n_steps + 1, config.n_modes))
-    z[0] = y0
-    for i, li in enumerate(lam):
-        rho = (t[i] / s[i]) * L[i] / w_r
-        z[1:, i] = np.linalg.solve(Dr - li * eye, b[i] * u[1:] - m * y0[i] + rho)
-    return u, z, res_norm
+    A = np.pad(P.T @ (b[:, None] * L), ((0, 0), (1, 0)))  # node 0 has no influence
+
+    def recover(u, t):
+        z = np.empty((grid.n_steps + 1, config.n_modes))
+        z[0] = y0
+        for i, li in enumerate(lam):
+            rho = (t[i] / s[i]) * L[i] / w_r
+            z[1:, i] = np.linalg.solve(Dr - li * eye, b[i] * u[1:] - m * y0[i] + rho)
+        return z
+
+    return (A, w, P.T @ (y0 * (L @ m)), P, s), recover
+
+
+def _build_system(config: ProblemConfig, form: str):
+    """Ridge system (A, w, c, P, s) of one residual form and its z(u, t) recovery."""
+    if form not in RESIDUAL_FORMS:
+        raise DomainError(f"residual_form must be one of {RESIDUAL_FORMS}, got {form!r}")
+    actuator = config.build_actuator()
+    target = config.build_target()
+    report = is_strategic(actuator, target, config.tolerances.gramian_rank)
+    if not report["strategic"] and float(np.linalg.norm(steering_rhs(config))) > 1e-14:
+        raise InfeasibleError(
+            "terminal constraint unreachable: actuator has dead modes "
+            f"{report['dead_modes']} but the free final state leaves the target"
+        )
+    build = _mild_system if form == "mild" else _caputo_system
+    return build(config, actuator, target)
+
+
+def solve_penalized(problem: PenalizedProblem) -> PenalizedSolution:
+    """Minimize the penalized quadratic subject to the hard terminal constraint."""
+    config, eps = problem.config, problem.epsilon
+    system, recover = _build_system(config, problem.residual_form)
+    u, t, res_norm = _ridge_solve(*system, eps)
+    en = energy(u, config.grid())
+    return PenalizedSolution(u, recover(u, t), en + res_norm**2 / (2.0 * eps), en, res_norm)
 
 
 @dataclass(frozen=True)
@@ -199,9 +206,10 @@ def epsilon_sweep(
 ) -> list[SweepRow]:
     """Solve the penalized problem along a decreasing eps schedule.
 
-    Each row reports the full objective and the weighted-L2 distance of the
-    penalized control to the adjoint-seed synthesis control, relative to the
-    latter's norm.
+    The form's ridge system is built once; each eps costs one small solve and
+    no trajectory.  Each row reports the full objective and the weighted-L2
+    distance of the penalized control to the adjoint-seed synthesis control,
+    relative to the latter's norm.
     """
     eps = [float(e) for e in eps_list]
     if len(eps) == 0:
@@ -212,14 +220,13 @@ def epsilon_sweep(
         raise DomainError(f"eps values must be strictly decreasing, got {eps}")
     grid = config.grid()
     w = _trapezoid_weights(grid)
-    rhum = solve_rhum(config)
-    u_ref = rhum.u_star
+    u_ref = solve_rhum(config).u_star
     ref_norm = float(np.sqrt(np.dot(w, u_ref * u_ref)))
+    system, _ = _build_system(config, residual_form)
     rows = []
     for e in eps:
-        sol = solve_penalized(PenalizedProblem(config, e, residual_form))
-        diff = sol.u_eps - u_ref
-        dn = float(np.sqrt(np.dot(w, diff * diff)))
+        u, _, res_norm = _ridge_solve(*system, e)
+        dn = float(np.sqrt(np.dot(w, (u - u_ref) ** 2)))
         rel = dn / ref_norm if ref_norm > 0 else dn
-        rows.append(SweepRow(e, sol.J_eps, rel, sol.residual_norm))
+        rows.append(SweepRow(e, energy(u, grid) + res_norm**2 / (2.0 * e), rel, res_norm))
     return rows

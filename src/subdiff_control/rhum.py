@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import linalg as sla
@@ -43,7 +44,7 @@ from .spectral import (
     mild_trajectory,
     terminal_control_map,
 )
-from .special import mittag_leffler
+from .special import mittag_leffler_array
 
 COND_WARN_THRESHOLD = 1e12
 
@@ -79,17 +80,20 @@ class Gramian:
 
     matrix: np.ndarray
 
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.matrix)
+
     def min_eigenvalue(self) -> float:
         if self.matrix.size == 0:
             return 0.0
-        return float(np.min(np.linalg.eigvalsh(self.matrix)))
+        return float(np.min(self._spectrum))
 
     def condition_number(self) -> float:
         if self.matrix.size == 0:
             return 1.0
-        ev = np.linalg.eigvalsh(self.matrix)
-        lo = float(np.min(np.abs(ev)))
-        hi = float(np.max(np.abs(ev)))
+        ev = np.abs(self._spectrum)
+        lo, hi = float(np.min(ev)), float(np.max(ev))
         return np.inf if lo == 0.0 else hi / lo
 
 
@@ -119,11 +123,7 @@ def assemble_gramian(
     x, wq = roots_jacobi(quad_n, 0.0, beta)
     half = T**alpha / 2.0
     v = (x + 1.0) * half
-    lam = eigenvalues(actuator.n_modes)
-    emat = np.empty((lam.size, quad_n))
-    for i, li in enumerate(lam):
-        for m, vm in enumerate(v):
-            emat[i, m] = mittag_leffler(alpha, alpha, li * vm)
+    emat = mittag_leffler_array(alpha, alpha, np.outer(eigenvalues(actuator.n_modes), v))
     scale = (1.0 / alpha) * half ** (beta + 1.0)
     cmat = scale * (emat * wq) @ emat.T
     pb = actuator.influence[:, None] * target.polar_basis
@@ -213,12 +213,8 @@ def solve_rhum(config: ProblemConfig) -> RhumSolution:
     try:
         cf = sla.cho_factor(gram.matrix)
         phi_hat = sla.cho_solve(cf, c)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise SingularGramianError(str(exc)) from exc
     except sla.LinAlgError as exc:
-        raise SingularGramianError(
-            f"Gramian is not positive definite: {exc}"
-        ) from exc
+        raise SingularGramianError(str(exc)) from exc
     resid = float(np.linalg.norm(gram.matrix @ phi_hat - c) / np.linalg.norm(c))
     u_star = (A.T @ phi_hat) / w
     phi0 = target.polar_basis @ phi_hat

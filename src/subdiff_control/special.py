@@ -198,14 +198,13 @@ def mittag_leffler(p: float, q: float, z: float) -> float:
 
 
 def mittag_leffler_array(p: float, q: float, z) -> np.ndarray:
-    """Vectorized wrapper around :func:`mittag_leffler`."""
+    """E_{p,q} elementwise, one :func:`mittag_leffler` call per element in row-major order.
+
+    Every table of Mittag-Leffler values in the package is built here.
+    """
     zs = np.asarray(z, dtype=float)
-    out = np.empty(zs.shape, dtype=float)
-    flat = zs.ravel()
-    dst = out.ravel()
-    for i, zi in enumerate(flat):
-        dst[i] = mittag_leffler(p, q, float(zi))
-    return out
+    vals = [mittag_leffler(p, q, zi) for zi in zs.ravel().tolist()]
+    return np.array(vals, dtype=float).reshape(zs.shape)
 
 
 def _psi_log_terms(alpha: float, theta: float, n_max: int) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 from scipy import linalg as sla
 
 from .errors import DomainError, QuadratureError
-from .special import mittag_leffler
+from .special import mittag_leffler_array
 
 SQRT2 = math.sqrt(2.0)
 
@@ -103,8 +103,7 @@ def apply_R(alpha: float, t: float, state: SpectralField) -> SpectralField:
         raise DomainError(f"time must be non-negative, got {t}")
     if t == 0.0:
         return state
-    lam = eigenvalues(state.n_modes)
-    fac = np.array([mittag_leffler(alpha, 1.0, lam_i * t**alpha) for lam_i in lam])
+    fac = mittag_leffler_array(alpha, 1.0, eigenvalues(state.n_modes) * t**alpha)
     return SpectralField(state.coeffs * fac)
 
 
@@ -113,8 +112,7 @@ def apply_K(alpha: float, t: float, state: SpectralField) -> SpectralField:
     _check_alpha(alpha)
     if not t > 0:
         raise DomainError(f"the control kernel requires t > 0, got {t}")
-    lam = eigenvalues(state.n_modes)
-    fac = np.array([mittag_leffler(alpha, alpha, lam_i * t**alpha) for lam_i in lam])
+    fac = mittag_leffler_array(alpha, alpha, eigenvalues(state.n_modes) * t**alpha)
     return SpectralField(state.coeffs * fac)
 
 
@@ -125,13 +123,10 @@ def propagator_factors(alpha: float, grid: TimeGrid, n_modes: int) -> np.ndarray
     through ``_table``, which memoizes it, so a warm problem builds nothing.
     """
     _check_alpha(alpha)
-    lam = eigenvalues(n_modes)
-    nodes = grid.nodes
-    out = np.empty((n_modes, grid.n_steps + 1))
-    out[:, 0] = 1.0
-    for i, lam_i in enumerate(lam):
-        for k in range(1, grid.n_steps + 1):
-            out[i, k] = mittag_leffler(alpha, 1.0, lam_i * nodes[k] ** alpha)
+    # libm pow per node: numpy's vectorized pow can round t^a one ulp apart
+    z = np.outer(eigenvalues(n_modes), [t**alpha for t in grid.nodes[1:].tolist()])
+    out = np.ones((n_modes, grid.n_steps + 1))
+    out[:, 1:] = mittag_leffler_array(alpha, 1.0, z)
     out.setflags(write=False)
     return out
 

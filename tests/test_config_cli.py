@@ -45,7 +45,12 @@ class TestValidation:
             ("T", 0.0),
             ("T", -1.0),
             ("n_modes", 0),
+            ("n_modes", True),
             ("n_steps", 1),
+            ("y0", ("x", 0, 0)),
+            ("y0", (None, 0, 0)),
+            ("target_modes", ("x",)),
+            ("target_modes", (2.7,)),
         ],
     )
     def test_scalar_field_errors(self, field, value):
@@ -66,7 +71,9 @@ class TestValidation:
             {"kind": "zone", "a": 0.5, "b": 0.5},
             {"kind": "zone", "a": 0.6, "b": 0.4},
             {"kind": "zone", "a": -0.1, "b": 0.4},
+            {"kind": "zone", "a": "0.2", "b": 0.5},
             {"kind": "pointwise", "b": 0.0},
+            {"kind": "pointwise", "b": "0.3"},
             {"kind": "pointwise"},
             {"kind": "disc", "b": 0.5},
             {},
@@ -190,6 +197,18 @@ class TestCliVerify:
         assert main(["synthesize", "--config", str(cfg_path), "--out", str(out)]) == 0
         other = _write_cfg(tmp_path, name="other.json", n_steps=64)
         assert main(["verify", "--config", str(other), "--out", str(out)]) == 1
+
+    @pytest.mark.parametrize("row", ["0.5,abc", "0.5"])
+    def test_verify_malformed_control(self, tmp_path, capsys, row):
+        cfg_path = _write_cfg(tmp_path)
+        out = tmp_path / "out"
+        assert main(["synthesize", "--config", str(cfg_path), "--out", str(out)]) == 0
+        control = out / "control.csv"
+        lines = control.read_text().splitlines()
+        lines[3] = row
+        control.write_text("\n".join(lines) + "\n")
+        assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert "<control>" in capsys.readouterr().err
 
 
 class TestCliSweep:

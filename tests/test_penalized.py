@@ -215,6 +215,17 @@ class TestSweep:
             epsilon_sweep(cfg, [1e-3, 1e-2])
         with pytest.raises(DomainError):
             epsilon_sweep(cfg, [1e-2, -1e-3])
+        with pytest.raises(DomainError):
+            epsilon_sweep(cfg, [1e-2], "strong")
+
+    @pytest.mark.parametrize("form", ["mild", "caputo"])
+    def test_rows_match_single_solves(self, form):
+        cfg = _small_config()
+        eps = [1e-1, 1e-3, 1e-5]
+        for row in epsilon_sweep(cfg, eps, form):
+            sol = solve_penalized(PenalizedProblem(cfg, row.epsilon, form))
+            assert row.J_eps == pytest.approx(sol.J_eps, rel=1e-12, abs=0.0)
+            assert row.residual_norm == pytest.approx(sol.residual_norm, rel=1e-12, abs=0.0)
 
     def test_sweep_converges_to_synthesis(self):
         cfg = _small_config()

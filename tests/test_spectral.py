@@ -118,6 +118,16 @@ class TestPropagators:
         with pytest.raises(ValueError):
             table[1, 3] = 0.0
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.7])
+    def test_node_table_matches_scalar_calls(self, alpha):
+        grid = TimeGrid(1.5, 6)
+        table = propagator_factors(alpha, grid, 3)
+        lam = eigenvalues(3)
+        expected = np.array([
+            [mittag_leffler(alpha, 1.0, li * t**alpha) for t in grid.nodes] for li in lam
+        ])
+        np.testing.assert_allclose(table, expected, rtol=1e-13, atol=0.0)
+
     def test_K_requires_positive_time(self):
         with pytest.raises(DomainError):
             apply_K(0.4, 0.0, _unit(2, 1))

@@ -151,16 +151,17 @@ def is_strategic(actuator: Actuator, target: TargetSubspace, tol: float = STRATE
 
 
 def eec_criterion(gramian: np.ndarray, rhs: np.ndarray, tol: float = 1e-8) -> bool:
-    """Solvability of the projected steering equation (least-squares residual test).
+    """Solvability of the projected steering equation (numerical null-space test).
 
     ``gramian`` is the quadratic observation form on the annihilator and
-    ``rhs`` the projected free final state (with its sign); returns True when
-    rhs lies in the range of the Gramian to relative tolerance.
+    ``rhs`` the projected free final state (with its sign).  Eigen-directions
+    with |lambda| <= tol * max|lambda| span the Gramian's numerical null space;
+    returns True when rhs has at most tol * |rhs| in it.
     """
     rhs = np.asarray(rhs, dtype=float)
     nr = float(np.linalg.norm(rhs))
     if nr == 0.0:
         return True
-    sol, *_ = np.linalg.lstsq(np.asarray(gramian, dtype=float), rhs, rcond=None)
-    resid = float(np.linalg.norm(gramian @ sol - rhs))
-    return resid <= tol * nr
+    lam, vecs = np.linalg.eigh(np.asarray(gramian, dtype=float))
+    null = vecs[:, np.abs(lam) <= tol * np.max(np.abs(lam))]
+    return float(np.linalg.norm(null.T @ rhs)) <= tol * nr

@@ -5,7 +5,7 @@ artifacts (CSV with 17-significant-digit floats, JSON with sorted keys) into
 the output directory.  Failure paths map to distinct exit codes:
 
     1  configuration / usage error
-    2  actuator not strategic for the target
+    2  target unreachable: a dead mode the annihilator needs (synthesis and sweep)
     3  singular Gramian
     4  quadrature or special-function evaluation failure
 """
@@ -19,26 +19,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .actuators import eec_criterion, is_strategic
+from .actuators import eec_criterion
 from .config import ProblemConfig, load_config
 from .errors import (
     ConfigError,
     EvaluationError,
     InfeasibleError,
-    NonStrategicError,
     QuadratureError,
     SingularGramianError,
     SubdiffError,
 )
 from .penalized import epsilon_sweep
-from .rhum import (
-    Gramian,
-    control_energy,
-    discrete_gramian,
-    solve_rhum,
-    steering_rhs,
-    verify_transfer,
-)
+from .rhum import SteeringSystem, control_energy, solve_rhum, steering_system, verify_transfer
 
 EXIT_CONFIG = 1
 EXIT_NON_STRATEGIC = 2
@@ -74,21 +66,16 @@ def _read_control_csv(path: Path) -> np.ndarray:
     return np.array(vals)
 
 
-def _analysis_payload(config: ProblemConfig, gram: Gramian | None = None) -> dict:
-    """Strategic / reachability report; ``gram`` is the discrete Gramian if already built."""
-    actuator = config.build_actuator()
-    target = config.build_target()
-    report = is_strategic(actuator, target, config.tolerances.gramian_rank)
-    if gram is None:
-        gram, _, _ = discrete_gramian(actuator, target, config.alpha, config.grid())
-    eec = eec_criterion(gram.matrix, steering_rhs(config), config.tolerances.gramian_rank)
+def _analysis_payload(config: ProblemConfig, system: SteeringSystem) -> dict:
+    """Strategic / reachability report on the problem's steering system."""
+    gram = system.gramian
     return {
-        "strategic": report["strategic"],
-        "dead_modes": report["dead_modes"],
-        "eec": eec,
+        "strategic": not system.dead_modes,
+        "dead_modes": system.dead_modes,
+        "eec": eec_criterion(gram.matrix, system.c, config.tolerances.gramian_rank),
         "gramian_condition": gram.condition_number(),
         "gramian_min_eigenvalue": gram.min_eigenvalue(),
-        "influence": [float(v) for v in actuator.influence],
+        "influence": [float(v) for v in system.actuator.influence],
     }
 
 
@@ -106,12 +93,9 @@ def _cmd_synthesize(config: ProblemConfig, out: Path) -> int:
         ["t"] + [f"coeff_{i+1}" for i in range(config.n_modes)],
         (np.concatenate([[t], row]) for t, row in zip(nodes, transfer.trajectory)),
     )
-    analysis = _analysis_payload(config, sol.gramian)
+    analysis = _analysis_payload(config, sol.system)
     report = {
-        "strategic": analysis["strategic"],
-        "dead_modes": analysis["dead_modes"],
-        "eec": analysis["eec"],
-        "gramian_condition": sol.condition_number,
+        **{k: analysis[k] for k in ("strategic", "dead_modes", "eec", "gramian_condition")},
         "solve_residual": sol.residual,
         "control_energy": control_energy(sol.u_star, grid),
         "distance_to_G": transfer.distance_to_G,
@@ -153,14 +137,12 @@ def _cmd_verify(config: ProblemConfig, out: Path) -> int:
 
 
 def _cmd_sweep(config: ProblemConfig, out: Path, eps_arg: str) -> int:
-    if not eps_arg:
-        raise ConfigError("--eps", "a comma-separated list of penalty values is required")
     try:
         eps_list = [float(tok) for tok in eps_arg.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError("--eps", f"could not parse {eps_arg!r}: {exc}") from exc
     if not eps_list:
-        raise ConfigError("--eps", "eps list must not be empty")
+        raise ConfigError("--eps", "a comma-separated list of penalty values is required")
     rows = epsilon_sweep(config, eps_list)
     _write_csv(
         out / "sweep.csv",
@@ -180,7 +162,7 @@ def _cmd_sweep(config: ProblemConfig, out: Path, eps_arg: str) -> int:
 
 
 def _cmd_analyze(config: ProblemConfig, out: Path) -> int:
-    payload = _analysis_payload(config)
+    payload = _analysis_payload(config, steering_system(config))
     _write_json(out / "analysis.json", payload)
     print(
         f"strategic={payload['strategic']} dead_modes={payload['dead_modes']} "
@@ -225,7 +207,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NonStrategicError, InfeasibleError) as exc:
+    except InfeasibleError as exc:
         print(f"non-strategic actuator: {exc}", file=sys.stderr)
         return EXIT_NON_STRATEGIC
     except SingularGramianError as exc:

@@ -62,8 +62,8 @@ class ProblemConfig:
             object.__setattr__(self, name, float(getattr(self, name)))
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha", f"must lie strictly in (0,1), got {self.alpha!r}")
-        if not self.T > 0:
-            raise ConfigError("T", f"must be positive, got {self.T!r}")
+        if not 0.0 < self.T < np.inf:
+            raise ConfigError("T", f"must be positive and finite, got {self.T!r}")
         for name, low in (("n_modes", 1), ("n_steps", 2)):
             v = getattr(self, name)
             if not (_is_int(v) and v >= low):

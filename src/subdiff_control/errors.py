@@ -25,8 +25,16 @@ class QuadratureError(SubdiffError, RuntimeError):
     """A quadrature failed or the integrand is not integrable."""
 
 
-class NonStrategicError(SubdiffError, RuntimeError):
-    """The actuator cannot reach every mode the target requires.
+class SingularGramianError(SubdiffError, RuntimeError):
+    """The controllability Gramian is numerically singular."""
+
+
+class InfeasibleError(SubdiffError, RuntimeError):
+    """The terminal constraint is inconsistent with the discrete dynamics."""
+
+
+class NonStrategicError(InfeasibleError):
+    """The annihilator touches a dead mode while the free final state leaves the target.
 
     ``dead_modes`` lists the 1-based mode indices with (numerically)
     vanishing influence that carry a component of the polar basis.
@@ -34,17 +42,7 @@ class NonStrategicError(SubdiffError, RuntimeError):
 
     def __init__(self, dead_modes, message=None):
         self.dead_modes = list(dead_modes)
-        super().__init__(
-            message or f"actuator is not strategic; dead modes {self.dead_modes}"
-        )
-
-
-class SingularGramianError(SubdiffError, RuntimeError):
-    """The controllability Gramian is numerically singular."""
-
-
-class InfeasibleError(SubdiffError, RuntimeError):
-    """The terminal constraint is inconsistent with the discrete dynamics."""
+        super().__init__(message or f"actuator is not strategic; dead modes {self.dead_modes}")
 
 
 class ConfigError(SubdiffError, ValueError):

@@ -7,19 +7,21 @@ Letting eps -> 0 recovers the constrained minimum-energy control, which is
 compared row by row against the adjoint-seed synthesis.
 
 Eliminating z reduces both residual forms to one ridge solve,
-(A W^-1 A^T + eps P^T diag(s) P) phi = c, u = A^T phi / w (``_ridge_solve``):
-A maps control node samples to annihilator coordinates of the final state,
-P is the annihilator basis and s_i the terminal sensitivity of mode i to its
-residual.  The forms differ only in A, c, s and in how z is recovered, so each
-has one builder of that system, and a sweep builds it once for all eps:
+(G + eps P^T diag(s) P) phi = c, u = A^T phi / w (``_ridge_solve``), with
+G = A W^-1 A^T: the synthesis solve of ``rhum`` on a shifted Gramian, factored
+with Cholesky as the synthesis factors G.  A maps control node samples to
+annihilator coordinates of the final state, P is the annihilator basis and s_i
+the terminal sensitivity of mode i to its residual.  The forms differ only in
+G, A, c, s and in how z is recovered, so each has one builder of that system
+on the problem's ``rhum.SteeringSystem``, and a sweep builds it once for all eps:
 
 * ``"mild"`` (default): residual = z - (free state + control convolution),
   the defect against the mild-solution simulator.  Before T the trajectory
   is unconstrained, so the optimal residual vanishes there; at T it shifts
-  z(T) directly with the trapezoid end weight, s_i = 1 / w_T.  A is the
-  spectral map of ``discrete_gramian``, so this is the ridge-regularized
-  Gramian solve (G + (eps / w_T) I) phi = c.  As eps -> 0 it tends to the
-  synthesis control; it checks the solve, not the discretization.
+  z(T) directly with the trapezoid end weight, s_i = 1 / w_T.  G and A are
+  the steering system's own, so this is the ridge-regularized Gramian solve
+  (G + (eps / w_T) I) phi = c.  As eps -> 0 it tends to the synthesis
+  control; it checks the solve, not the discretization.
 * ``"caputo"``: residual = (discrete Caputo derivative of z) - lambda z - b u
   using the L1-style product quadrature, the literal strong-form defect.
   Each mode of the scheme gives z from u and the residual, so A is the
@@ -35,16 +37,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actuators import Actuator, TargetSubspace, is_strategic
 from .config import ProblemConfig
-from .errors import DomainError, InfeasibleError
+from .errors import DomainError
 from .fractional import _derivative, _kernel_matrix
 from .rhum import (
-    _trapezoid_weights,
+    SteeringSystem,
+    _cholesky_solve,
     control_energy,
-    discrete_gramian,
+    require_reachable,
     solve_rhum,
-    steering_rhs,
+    steering_system,
 )
 from .spectral import TimeGrid, eigenvalues, mild_trajectory
 from .special import gamma_fn
@@ -59,8 +61,8 @@ class PenalizedProblem:
     residual_form: str = "mild"
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise DomainError(f"penalty parameter must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < np.inf:
+            raise DomainError(f"penalty parameter must be positive and finite, got {self.epsilon}")
         if self.residual_form not in RESIDUAL_FORMS:
             raise DomainError(
                 f"residual_form must be one of {RESIDUAL_FORMS}, got {self.residual_form!r}"
@@ -102,36 +104,33 @@ class PenalizedSolution:
     residual_norm: float       # weighted L2 norm of the dynamics residual
 
 
-def _ridge_solve(
-    A: np.ndarray, w: np.ndarray, c: np.ndarray, P: np.ndarray, s: np.ndarray, eps: float
-):
+def _ridge_solve(G, A, w, c, P, s, eps: float):
     """Minimize (1/2) u^T W u + (1/(2 eps)) sum_i t_i^2 / s_i subject to A u + P^T t = c.
 
     t_i is the shift of z_i(T) that the residual buys, at least weighted
-    squared residual t_i^2 / s_i.  Returns (u, t, residual_norm).
+    squared residual t_i^2 / s_i.  With G = A W^-1 A^T the shifted Gramian
+    G + eps P^T diag(s) P is SPD for eps > 0.  Returns (u, t, residual_norm).
     """
-    gram = (A / w) @ A.T
-    phi = np.linalg.solve(gram + eps * (P.T * s) @ P, c)
+    phi = _cholesky_solve(G + eps * (P.T * s) @ P, c)
     t = eps * s * (P @ phi)
     return (A.T @ phi) / w, t, float(np.sqrt(np.sum(t * t / s)))
 
 
-def _mild_system(config: ProblemConfig, actuator: Actuator, target: TargetSubspace):
-    """Spectral terminal map with s_i = 1 / w_T; z is the simulated trajectory."""
-    grid = config.grid()
-    _, A, w = discrete_gramian(actuator, target, config.alpha, grid)
-    s = np.full(config.n_modes, 1.0 / w[-1])
+def _mild_system(config: ProblemConfig, system: SteeringSystem):
+    """The steering system itself with s_i = 1 / w_T; z is the simulated trajectory."""
+    target, influence = system.target, system.actuator.influence
+    s = np.full(config.n_modes, 1.0 / system.w[-1])
 
     def recover(u, t):
-        z = mild_trajectory(config.alpha, grid, config.y0_array(), actuator.influence, u)
+        z = mild_trajectory(config.alpha, system.grid, config.y0_array(), influence, u)
         # the hard terminal constraint: the penalized z(T) lies in G
         z[-1] -= target.project(z[-1])
         return z
 
-    return (A, w, steering_rhs(config), target.polar_basis, s), recover
+    return (system.gramian.matrix, system.A, system.w, system.c, target.polar_basis, s), recover
 
 
-def _caputo_system(config: ProblemConfig, actuator: Actuator, target: TargetSubspace):
+def _caputo_system(config: ProblemConfig, system: SteeringSystem):
     """Terminal map of the L1 scheme; z is recovered from u and the residual.
 
     Per mode, with z_i(0) = y0_i pinned and rho_i the residual on nodes 1..n,
@@ -141,12 +140,11 @@ def _caputo_system(config: ProblemConfig, actuator: Actuator, target: TargetSubs
     s_i = l_i^T W_r^-1 l_i.  Recovering z solves each M_i again: keeping N dense
     factors would double a sweep's peak memory.
     """
-    grid = config.grid()
-    b = actuator.influence
-    P = target.polar_basis
+    grid, w = system.grid, system.w
+    b = system.actuator.influence
+    P = system.target.polar_basis
     y0 = config.y0_array()
     lam = eigenvalues(config.n_modes)
-    w = _trapezoid_weights(grid)
     # The strong-form residual is meaningless at t = 0 (the discrete Caputo
     # operator vanishes there by construction), so node 0 carries no weight.
     w_r = w[1:]
@@ -165,31 +163,24 @@ def _caputo_system(config: ProblemConfig, actuator: Actuator, target: TargetSubs
             z[1:, i] = np.linalg.solve(Dr - li * eye, b[i] * u[1:] - m * y0[i] + rho)
         return z
 
-    return (A, w, P.T @ (y0 * (L @ m)), P, s), recover
+    return ((A / w) @ A.T, A, w, P.T @ (y0 * (L @ m)), P, s), recover
 
 
-def _build_system(config: ProblemConfig, form: str):
-    """Ridge system (A, w, c, P, s) of one residual form and its z(u, t) recovery."""
+def _build_system(config: ProblemConfig, system: SteeringSystem, form: str):
+    """Ridge system (G, A, w, c, P, s) of one residual form and its z(u, t) recovery."""
     if form not in RESIDUAL_FORMS:
         raise DomainError(f"residual_form must be one of {RESIDUAL_FORMS}, got {form!r}")
-    actuator = config.build_actuator()
-    target = config.build_target()
-    report = is_strategic(actuator, target, config.tolerances.gramian_rank)
-    if not report["strategic"] and float(np.linalg.norm(steering_rhs(config))) > 1e-14:
-        raise InfeasibleError(
-            "terminal constraint unreachable: actuator has dead modes "
-            f"{report['dead_modes']} but the free final state leaves the target"
-        )
-    build = _mild_system if form == "mild" else _caputo_system
-    return build(config, actuator, target)
+    return (_mild_system if form == "mild" else _caputo_system)(config, system)
 
 
 def solve_penalized(problem: PenalizedProblem) -> PenalizedSolution:
     """Minimize the penalized quadratic subject to the hard terminal constraint."""
     config, eps = problem.config, problem.epsilon
-    system, recover = _build_system(config, problem.residual_form)
-    u, t, res_norm = _ridge_solve(*system, eps)
-    en = energy(u, config.grid())
+    system = steering_system(config)
+    require_reachable(system)
+    ridge, recover = _build_system(config, system, problem.residual_form)
+    u, t, res_norm = _ridge_solve(*ridge, eps)
+    en = energy(u, system.grid)
     return PenalizedSolution(u, recover(u, t), en + res_norm**2 / (2.0 * eps), en, res_norm)
 
 
@@ -206,26 +197,26 @@ def epsilon_sweep(
 ) -> list[SweepRow]:
     """Solve the penalized problem along a decreasing eps schedule.
 
-    The form's ridge system is built once; each eps costs one small solve and
-    no trajectory.  Each row reports the full objective and the weighted-L2
-    distance of the penalized control to the adjoint-seed synthesis control,
-    relative to the latter's norm.
+    The form's ridge system is built once, on the synthesis solve's steering
+    system; each eps costs one small Cholesky solve and no trajectory.  Each
+    row reports the full objective and the weighted-L2 distance of the
+    penalized control to the adjoint-seed synthesis control, relative to the
+    latter's norm.
     """
     eps = [float(e) for e in eps_list]
     if len(eps) == 0:
         raise DomainError("eps_list must not be empty")
-    if any(e <= 0 for e in eps):
-        raise DomainError(f"eps values must be positive, got {eps}")
+    if not all(0 < e < np.inf for e in eps):
+        raise DomainError(f"eps values must be positive and finite, got {eps}")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise DomainError(f"eps values must be strictly decreasing, got {eps}")
-    grid = config.grid()
-    w = _trapezoid_weights(grid)
-    u_ref = solve_rhum(config).u_star
+    ref = solve_rhum(config)
+    ridge, _ = _build_system(config, ref.system, residual_form)
+    grid, w, u_ref = ref.system.grid, ref.system.w, ref.u_star
     ref_norm = float(np.sqrt(np.dot(w, u_ref * u_ref)))
-    system, _ = _build_system(config, residual_form)
     rows = []
     for e in eps:
-        u, _, res_norm = _ridge_solve(*system, e)
+        u, _, res_norm = _ridge_solve(*ridge, e)
         dn = float(np.sqrt(np.dot(w, (u - u_ref) ** 2)))
         rel = dn / ref_norm if ref_norm > 0 else dn
         rows.append(SweepRow(e, energy(u, grid) + res_norm**2 / (2.0 * e), rel, res_norm))

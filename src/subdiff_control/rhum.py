@@ -19,6 +19,10 @@ Two Gramian routes exist:
   H W^{-1} H^T.  This is finite for every a in (0,1) and, crucially, is
   *exactly* consistent with the mild-solution simulator, so the synthesized
   control verifies to solver precision.  ``solve_rhum`` uses this route.
+
+``steering_system`` assembles a problem's system (A, w, c, Gramian, dead modes)
+once; ``require_reachable`` is the one reachability rule.  Penalization is this
+same Cholesky solve on the Gramian shifted by eps P^T diag(s) P.
 """
 
 from __future__ import annotations
@@ -161,10 +165,44 @@ def final_free_state(alpha: float, T: float, y0: np.ndarray) -> SpectralField:
     return apply_R(alpha, T, SpectralField(np.asarray(y0, dtype=float)))
 
 
-def steering_rhs(config: ProblemConfig) -> np.ndarray:
-    """c = -P^T R(T) y0, with R(T) read off the last column of the memoized node table."""
-    free_T = _table(config.alpha, config.grid(), config.n_modes)[:, -1] * config.y0_array()
-    return -(config.build_target().polar_basis.T @ free_T)
+@dataclass(frozen=True)
+class SteeringSystem:
+    """One problem's steering constraint A u = c, read by synthesis, penalization and analyze."""
+
+    actuator: Actuator
+    target: TargetSubspace
+    grid: TimeGrid
+    gramian: Gramian
+    A: np.ndarray          # control node samples -> annihilator coordinates of y(T)
+    w: np.ndarray          # trapezoid weights
+    c: np.ndarray          # -P^T R(T) y0, the annihilator coordinates to cancel
+    dead_modes: list       # 1-based modes the annihilator touches with no influence
+
+
+def steering_system(config: ProblemConfig) -> SteeringSystem:
+    """Assemble ``config``'s steering system; R(T) is the last column of the node table."""
+    actuator = config.build_actuator()
+    target = config.build_target()
+    grid = config.grid()
+    gram, A, w = discrete_gramian(actuator, target, config.alpha, grid)
+    free_T = _table(config.alpha, grid, config.n_modes)[:, -1] * config.y0_array()
+    dead = is_strategic(actuator, target, config.tolerances.gramian_rank)["dead_modes"]
+    c = -(target.polar_basis.T @ free_T)
+    return SteeringSystem(actuator, target, grid, gram, A, w, c, dead)
+
+
+def require_reachable(system: SteeringSystem) -> None:
+    """Refuse iff the annihilator touches a dead mode and the free state leaves G (c != 0)."""
+    if system.dead_modes and float(np.linalg.norm(system.c)) != 0.0:
+        raise NonStrategicError(system.dead_modes)
+
+
+def _cholesky_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve an SPD (shifted) Gramian system; a failed factorization is a singular Gramian."""
+    try:
+        return sla.cho_solve(sla.cho_factor(matrix), rhs)
+    except sla.LinAlgError as exc:
+        raise SingularGramianError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -173,8 +211,15 @@ class RhumSolution:
     phi_hat: np.ndarray       # its coordinates against the annihilator basis
     u_star: np.ndarray        # control node samples on the grid
     residual: float           # relative residual of the Gramian solve
-    gramian: Gramian
-    condition_number: float
+    system: SteeringSystem
+
+    @property
+    def gramian(self) -> Gramian:
+        return self.system.gramian
+
+    @property
+    def condition_number(self) -> float:
+        return self.system.gramian.condition_number()
 
 
 def solve_rhum(config: ProblemConfig) -> RhumSolution:
@@ -184,24 +229,12 @@ def solve_rhum(config: ProblemConfig) -> RhumSolution:
     state landing in the target subspace, which is exactly the adjoint-seed
     normal-equation solve in the weighted geometry.
     """
-    actuator = config.build_actuator()
-    target = config.build_target()
-    grid = config.grid()
-    report = is_strategic(actuator, target, config.tolerances.gramian_rank)
-    c = steering_rhs(config)
-    gram, A, w = discrete_gramian(actuator, target, config.alpha, grid)
-    npolar = target.polar_dim
-    if npolar == 0 or float(np.linalg.norm(c)) == 0.0:
-        return RhumSolution(
-            phi0=np.zeros(config.n_modes),
-            phi_hat=np.zeros(npolar),
-            u_star=np.zeros(grid.n_steps + 1),
-            residual=0.0,
-            gramian=gram,
-            condition_number=1.0,
-        )
-    if not report["strategic"]:
-        raise NonStrategicError(report["dead_modes"])
+    system = steering_system(config)
+    require_reachable(system)
+    gram, A, w, c = system.gramian, system.A, system.w, system.c
+    if float(np.linalg.norm(c)) == 0.0:  # includes G = whole space (no annihilator)
+        zero = np.zeros(system.grid.n_steps + 1)
+        return RhumSolution(np.zeros(config.n_modes), np.zeros(c.size), zero, 0.0, system)
     cond = gram.condition_number()
     if cond > COND_WARN_THRESHOLD:
         warnings.warn(
@@ -210,15 +243,10 @@ def solve_rhum(config: ProblemConfig) -> RhumSolution:
             RuntimeWarning,
             stacklevel=2,
         )
-    try:
-        cf = sla.cho_factor(gram.matrix)
-        phi_hat = sla.cho_solve(cf, c)
-    except sla.LinAlgError as exc:
-        raise SingularGramianError(str(exc)) from exc
+    phi_hat = _cholesky_solve(gram.matrix, c)
     resid = float(np.linalg.norm(gram.matrix @ phi_hat - c) / np.linalg.norm(c))
     u_star = (A.T @ phi_hat) / w
-    phi0 = target.polar_basis @ phi_hat
-    return RhumSolution(phi0, phi_hat, u_star, resid, gram, cond)
+    return RhumSolution(system.target.polar_basis @ phi_hat, phi_hat, u_star, resid, system)
 
 
 @dataclass(frozen=True)

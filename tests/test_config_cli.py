@@ -51,6 +51,7 @@ class TestValidation:
             ("y0", (None, 0, 0)),
             ("target_modes", ("x",)),
             ("target_modes", (2.7,)),
+            ("T", float("inf")),
         ],
     )
     def test_scalar_field_errors(self, field, value):
@@ -230,7 +231,7 @@ class TestCliSweep:
     def test_bad_eps_lists(self, tmp_path):
         cfg_path = _write_cfg(tmp_path)
         out = str(tmp_path / "o")
-        for eps in ("abc", "", "1e-4,1e-2", "1e-2,-1"):
+        for eps in ("abc", "", "1e-4,1e-2", "1e-2,-1", "nan", "inf", "1e-2,nan"):
             assert main(["sweep", "--config", str(cfg_path), "--out", out, "--eps", eps]) == 1
 
 
@@ -244,6 +245,32 @@ class TestCliAnalyze:
         assert payload["eec"] is True
         assert payload["dead_modes"] == []
         assert payload["gramian_min_eigenvalue"] > 0.0
+
+    # Pointwise actuator at 0.3147, G = span{e1, e3}: a positive definite
+    # Gramian with condition ~6e8 (eigenvalues 1.2e-10 .. 7.4e-2).
+    POINTWISE = dict(
+        alpha=0.6, n_modes=5, n_steps=128,
+        actuator={"kind": "pointwise", "b": 0.3147}, target_modes=[1, 3],
+    )
+
+    def test_eec_holds_on_ill_conditioned_definite_gramian(self, tmp_path):
+        # synthesis steers this exactly (miss ~4e-12): c lies in the Gramian's range
+        cfg_path = _write_cfg(tmp_path, y0=[0.0, 1.0, 0.0, 0.0, 0.0], **self.POINTWISE)
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert json.loads((out / "analysis.json").read_text())["eec"] is True
+
+    def test_report_condition_is_the_gramian_condition_when_nothing_to_steer(self, tmp_path):
+        # y0 = e1 lies in G, so c = 0 and the control is zero; the reported
+        # condition number is still the Gramian's
+        cfg_path = _write_cfg(tmp_path, y0=[1.0, 0.0, 0.0, 0.0, 0.0], **self.POINTWISE)
+        out = tmp_path / "out"
+        assert main(["synthesize", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert main(["analyze", "--config", str(cfg_path), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        analysis = json.loads((out / "analysis.json").read_text())
+        assert report["control_energy"] == 0.0
+        assert report["gramian_condition"] == analysis["gramian_condition"] > 1e8
 
     def test_analyze_reports_dead_modes_without_failing(self, tmp_path):
         # analysis is diagnostic: it reports the dead mode but still exits 0

@@ -42,6 +42,8 @@ class TestBasics:
         with pytest.raises(DomainError):
             PenalizedProblem(cfg, -1.0)
         with pytest.raises(DomainError):
+            PenalizedProblem(cfg, math.inf)
+        with pytest.raises(DomainError):
             PenalizedProblem(cfg, 1e-3, residual_form="weak")
 
     def test_energy_examples(self):
@@ -128,15 +130,22 @@ class TestSolvePenalized:
         tgt = cfg.build_target()
         assert tgt.distance_to(sol.z_eps[-1]) <= 1e-9
 
-    def test_infeasible_configuration_raises_upfront(self):
+    # free state leaves mode 3 excited; 1e-13 leaves c = -5.1e-16 at T
+    @pytest.mark.parametrize("y3", [1.0, 1e-13])
+    def test_infeasible_configuration_raises_upfront(self, y3):
         cfg = _small_config(
             actuator={"kind": "pointwise", "b": 1.0 / 3.0},
             n_modes=3,
-            y0=(0.0, 0.0, 1.0),  # free state leaves mode 3 excited
+            y0=(0.0, 0.0, y3),
             target_modes=(1, 2),  # annihilator touches the dead mode 3
         )
         with pytest.raises(InfeasibleError):
             solve_penalized(PenalizedProblem(cfg, 1e-3))
+        # the synthesis and the sweep refuse the same configurations
+        with pytest.raises(InfeasibleError):
+            solve_rhum(cfg)
+        with pytest.raises(InfeasibleError):
+            epsilon_sweep(cfg, [1e-3], "caputo")
 
     def test_dead_mode_harmless_when_state_already_compatible(self):
         # dead mode 3 but y0 has no mode-3 content: constraint reachable

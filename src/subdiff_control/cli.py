@@ -4,7 +4,7 @@ All commands read a JSON problem configuration and write deterministic
 artifacts (CSV with 17-significant-digit floats, JSON with sorted keys) into
 the output directory.  Failure paths map to distinct exit codes:
 
-    1  configuration / usage error
+    1  configuration / usage error, an unreadable config or an unusable --out
     2  target unreachable: a dead mode the annihilator needs (synthesis and sweep)
     3  singular Gramian
     4  quadrature or special-function evaluation failure
@@ -56,7 +56,10 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _read_control_csv(path: Path) -> np.ndarray:
-    lines = path.read_text(encoding="utf-8").strip().splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").strip().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("<control>", f"cannot read {path}: {exc}") from exc
     vals = []
     for k, line in enumerate(lines[1:], start=2):
         try:
@@ -206,6 +209,9 @@ def main(argv=None) -> int:
         return _cmd_analyze(config, out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # inputs map their own; this is an unusable --out
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InfeasibleError as exc:
         print(f"non-strategic actuator: {exc}", file=sys.stderr)

@@ -31,10 +31,10 @@ class Tolerances:
     verify_distance: float = 1e-4
 
     def __post_init__(self):
-        for name in ("gramian_rank", "verify_distance"):
+        for name, high in (("gramian_rank", 1.0), ("verify_distance", np.inf)):
             v = getattr(self, name)
-            if not (_is_number(v) and v > 0):
-                raise ConfigError(f"tolerances.{name}", f"must be a positive number, got {v!r}")
+            if not (_is_number(v) and 0 < v < high):
+                raise ConfigError(f"tolerances.{name}", f"must lie in (0, {high}), got {v!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,8 +166,8 @@ def load_config(path) -> ProblemConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError("<path>", f"no such file: {path}")
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+        raise ConfigError("<path>", f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("<parse>", f"invalid JSON in {path}: {exc}") from exc
     return loads_config(data)

@@ -54,6 +54,11 @@ from .special import gamma_fn
 RESIDUAL_FORMS = ("mild", "caputo")
 
 
+def _check_form(form: str) -> None:
+    if form not in RESIDUAL_FORMS:
+        raise DomainError(f"residual_form must be one of {RESIDUAL_FORMS}, got {form!r}")
+
+
 @dataclass(frozen=True)
 class PenalizedProblem:
     config: ProblemConfig
@@ -63,10 +68,7 @@ class PenalizedProblem:
     def __post_init__(self):
         if not 0 < self.epsilon < np.inf:
             raise DomainError(f"penalty parameter must be positive and finite, got {self.epsilon}")
-        if self.residual_form not in RESIDUAL_FORMS:
-            raise DomainError(
-                f"residual_form must be one of {RESIDUAL_FORMS}, got {self.residual_form!r}"
-            )
+        _check_form(self.residual_form)
 
 
 energy = control_energy  # trapezoid quadrature of (1/2) integral u(t)^2 dt
@@ -119,7 +121,8 @@ def _ridge_solve(G, A, w, c, P, s, eps: float):
 def _mild_system(config: ProblemConfig, system: SteeringSystem):
     """The steering system itself with s_i = 1 / w_T; z is the simulated trajectory."""
     target, influence = system.target, system.actuator.influence
-    s = np.full(config.n_modes, 1.0 / system.w[-1])
+    w = system.grid.weights
+    s = np.full(config.n_modes, 1.0 / w[-1])
 
     def recover(u, t):
         z = mild_trajectory(config.alpha, system.grid, config.y0_array(), influence, u)
@@ -127,7 +130,7 @@ def _mild_system(config: ProblemConfig, system: SteeringSystem):
         z[-1] -= target.project(z[-1])
         return z
 
-    return (system.gramian.matrix, system.A, system.w, system.c, target.polar_basis, s), recover
+    return (system.gramian.matrix, system.A, w, system.c, target.polar_basis, s), recover
 
 
 def _caputo_system(config: ProblemConfig, system: SteeringSystem):
@@ -140,7 +143,7 @@ def _caputo_system(config: ProblemConfig, system: SteeringSystem):
     s_i = l_i^T W_r^-1 l_i.  Recovering z solves each M_i again: keeping N dense
     factors would double a sweep's peak memory.
     """
-    grid, w = system.grid, system.w
+    grid, w = system.grid, system.grid.weights
     b = system.actuator.influence
     P = system.target.polar_basis
     y0 = config.y0_array()
@@ -166,11 +169,8 @@ def _caputo_system(config: ProblemConfig, system: SteeringSystem):
     return ((A / w) @ A.T, A, w, P.T @ (y0 * (L @ m)), P, s), recover
 
 
-def _build_system(config: ProblemConfig, system: SteeringSystem, form: str):
-    """Ridge system (G, A, w, c, P, s) of one residual form and its z(u, t) recovery."""
-    if form not in RESIDUAL_FORMS:
-        raise DomainError(f"residual_form must be one of {RESIDUAL_FORMS}, got {form!r}")
-    return (_mild_system if form == "mild" else _caputo_system)(config, system)
+# Ridge system (G, A, w, c, P, s) of each residual form and its z(u, t) recovery
+_BUILDERS = {"mild": _mild_system, "caputo": _caputo_system}
 
 
 def solve_penalized(problem: PenalizedProblem) -> PenalizedSolution:
@@ -178,7 +178,7 @@ def solve_penalized(problem: PenalizedProblem) -> PenalizedSolution:
     config, eps = problem.config, problem.epsilon
     system = steering_system(config)
     require_reachable(system)
-    ridge, recover = _build_system(config, system, problem.residual_form)
+    ridge, recover = _BUILDERS[problem.residual_form](config, system)
     u, t, res_norm = _ridge_solve(*ridge, eps)
     en = energy(u, system.grid)
     return PenalizedSolution(u, recover(u, t), en + res_norm**2 / (2.0 * eps), en, res_norm)
@@ -210,9 +210,11 @@ def epsilon_sweep(
         raise DomainError(f"eps values must be positive and finite, got {eps}")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise DomainError(f"eps values must be strictly decreasing, got {eps}")
+    _check_form(residual_form)
     ref = solve_rhum(config)
-    ridge, _ = _build_system(config, ref.system, residual_form)
-    grid, w, u_ref = ref.system.grid, ref.system.w, ref.u_star
+    ridge, _ = _BUILDERS[residual_form](config, ref.system)
+    grid, u_ref = ref.system.grid, ref.u_star
+    w = grid.weights
     ref_norm = float(np.sqrt(np.dot(w, u_ref * u_ref)))
     rows = []
     for e in eps:

@@ -20,9 +20,10 @@ Two Gramian routes exist:
   *exactly* consistent with the mild-solution simulator, so the synthesized
   control verifies to solver precision.  ``solve_rhum`` uses this route.
 
-``steering_system`` assembles a problem's system (A, w, c, Gramian, dead modes)
-once; ``require_reachable`` is the one reachability rule.  Penalization is this
-same Cholesky solve on the Gramian shifted by eps P^T diag(s) P.
+``steering_system`` assembles a problem's system (A, c, Gramian, dead modes;
+w is ``grid.weights``) once; ``require_reachable`` is the one reachability
+rule.  Penalization is this same Cholesky solve on the Gramian shifted by
+eps P^T diag(s) P.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .spectral import (
 from .special import mittag_leffler_array
 
 COND_WARN_THRESHOLD = 1e12
+GRAMIAN_QUAD_N = 128  # Gauss-Jacobi nodes of ``assemble_gramian``
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,6 @@ def assemble_gramian(
     target: TargetSubspace,
     alpha: float,
     T: float,
-    quad_n: int = 128,
 ) -> Gramian:
     """Continuous-time Gramian on the annihilator via weighted Gauss quadrature.
 
@@ -114,8 +115,6 @@ def assemble_gramian(
     (1/a) integral_0^{T^a} v^beta E_{a,a}(lambda_i v) E_{a,a}(lambda_l v) dv
     with beta = (a-1)/a in (-1, 0), handled exactly by a Gauss-Jacobi rule.
     """
-    if quad_n < 32:
-        raise DomainError(f"need quad_n >= 32, got {quad_n}")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"fractional order must lie in (0,1), got {alpha}")
     if alpha <= 0.5:
@@ -124,7 +123,7 @@ def assemble_gramian(
             f"a = {alpha} <= 1/2; use the discrete-control-space Gramian"
         )
     beta = (alpha - 1.0) / alpha
-    x, wq = roots_jacobi(quad_n, 0.0, beta)
+    x, wq = roots_jacobi(GRAMIAN_QUAD_N, 0.0, beta)
     half = T**alpha / 2.0
     v = (x + 1.0) * half
     emat = mittag_leffler_array(alpha, alpha, np.outer(eigenvalues(actuator.n_modes), v))
@@ -138,23 +137,17 @@ def assemble_gramian(
     return Gramian(mat)
 
 
-def _trapezoid_weights(grid: TimeGrid) -> np.ndarray:
-    w = np.full(grid.n_steps + 1, grid.h)
-    w[0] = w[-1] = 0.5 * grid.h
-    return w
-
-
 def discrete_gramian(
     actuator: Actuator, target: TargetSubspace, alpha: float, grid: TimeGrid
 ):
     """Discrete-control-space Gramian consistent with the mild-solution quadrature.
 
     Returns (Gramian, A, w) where A maps control node samples to annihilator
-    coordinates of the controlled final state and w holds trapezoid weights.
+    coordinates of the controlled final state and w = ``grid.weights``.
     """
     H = terminal_control_map(alpha, grid, actuator.influence)
     A = target.polar_basis.T @ H
-    w = _trapezoid_weights(grid)
+    w = grid.weights
     mat = (A / w) @ A.T
     mat = 0.5 * (mat + mat.T)
     return Gramian(mat), A, w
@@ -171,10 +164,9 @@ class SteeringSystem:
 
     actuator: Actuator
     target: TargetSubspace
-    grid: TimeGrid
+    grid: TimeGrid         # its ``weights`` are the trapezoid weights w
     gramian: Gramian
     A: np.ndarray          # control node samples -> annihilator coordinates of y(T)
-    w: np.ndarray          # trapezoid weights
     c: np.ndarray          # -P^T R(T) y0, the annihilator coordinates to cancel
     dead_modes: list       # 1-based modes the annihilator touches with no influence
 
@@ -184,11 +176,11 @@ def steering_system(config: ProblemConfig) -> SteeringSystem:
     actuator = config.build_actuator()
     target = config.build_target()
     grid = config.grid()
-    gram, A, w = discrete_gramian(actuator, target, config.alpha, grid)
+    gram, A, _ = discrete_gramian(actuator, target, config.alpha, grid)
     free_T = _table(config.alpha, grid, config.n_modes)[:, -1] * config.y0_array()
     dead = is_strategic(actuator, target, config.tolerances.gramian_rank)["dead_modes"]
     c = -(target.polar_basis.T @ free_T)
-    return SteeringSystem(actuator, target, grid, gram, A, w, c, dead)
+    return SteeringSystem(actuator, target, grid, gram, A, c, dead)
 
 
 def require_reachable(system: SteeringSystem) -> None:
@@ -214,10 +206,6 @@ class RhumSolution:
     system: SteeringSystem
 
     @property
-    def gramian(self) -> Gramian:
-        return self.system.gramian
-
-    @property
     def condition_number(self) -> float:
         return self.system.gramian.condition_number()
 
@@ -231,7 +219,7 @@ def solve_rhum(config: ProblemConfig) -> RhumSolution:
     """
     system = steering_system(config)
     require_reachable(system)
-    gram, A, w, c = system.gramian, system.A, system.w, system.c
+    gram, A, c = system.gramian, system.A, system.c
     if float(np.linalg.norm(c)) == 0.0:  # includes G = whole space (no annihilator)
         zero = np.zeros(system.grid.n_steps + 1)
         return RhumSolution(np.zeros(config.n_modes), np.zeros(c.size), zero, 0.0, system)
@@ -245,7 +233,7 @@ def solve_rhum(config: ProblemConfig) -> RhumSolution:
         )
     phi_hat = _cholesky_solve(gram.matrix, c)
     resid = float(np.linalg.norm(gram.matrix @ phi_hat - c) / np.linalg.norm(c))
-    u_star = (A.T @ phi_hat) / w
+    u_star = (A.T @ phi_hat) / system.grid.weights
     return RhumSolution(system.target.polar_basis @ phi_hat, phi_hat, u_star, resid, system)
 
 
@@ -270,4 +258,4 @@ def verify_transfer(config: ProblemConfig, u_star: np.ndarray) -> TransferReport
 def control_energy(u: np.ndarray, grid: TimeGrid) -> float:
     """Trapezoid quadrature of (1/2) integral u(t)^2 dt."""
     u = np.asarray(u, dtype=float)
-    return float(0.5 * np.dot(_trapezoid_weights(grid), u * u))
+    return float(0.5 * np.dot(grid.weights, u * u))

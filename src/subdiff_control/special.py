@@ -20,7 +20,6 @@ summed in adaptive precision with a hard 500-term cap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath as mp
@@ -37,33 +36,6 @@ _LOG10E = math.log10(math.e)
 # so the two branches overlap safely.
 _X_ASYMPTOTIC_NEG = 25.0
 _X_ASYMPTOTIC_POS = 30.0
-
-
-@dataclass(frozen=True)
-class MLParams:
-    """Arguments of the two-parameter Mittag-Leffler function."""
-
-    p: float
-    q: float
-    z: float
-
-    def __post_init__(self):
-        if not self.p > 0:
-            raise DomainError(f"first Mittag-Leffler index must be positive, got {self.p}")
-
-
-@dataclass(frozen=True)
-class StableDensityParams:
-    """Arguments of the one-sided stable density psi_alpha."""
-
-    alpha: float
-    theta: float
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError(f"alpha must lie strictly in (0,1), got {self.alpha}")
-        if not self.theta > 0:
-            raise DomainError(f"theta must be positive, got {self.theta}")
 
 
 def gamma_fn(x: float) -> float:
@@ -170,7 +142,15 @@ def _ml_asymptotic_pos(p: float, q: float, z: float, x: float) -> float:
 
 
 @lru_cache(maxsize=1 << 20)
-def _ml_scalar(p: float, q: float, z: float) -> float:
+def mittag_leffler(p: float, q: float, z: float) -> float:
+    """Two-parameter Mittag-Leffler function E_{p,q}(z) for real z.
+
+    Raises EvaluationError when no branch can certify the target accuracy
+    (in practice only for overflowing positive arguments).
+    """
+    p, q, z = float(p), float(q), float(z)
+    if not p > 0:
+        raise DomainError(f"first Mittag-Leffler index must be positive, got {p}")
     if z == 0.0:
         return float(sp.rgamma(q))
     x = abs(z) ** (1.0 / p)
@@ -185,16 +165,6 @@ def _ml_scalar(p: float, q: float, z: float) -> float:
     if x <= _X_ASYMPTOTIC_POS:
         return _ml_series(p, q, z, x)
     return _ml_asymptotic_pos(p, q, z, x)
-
-
-def mittag_leffler(p: float, q: float, z: float) -> float:
-    """Two-parameter Mittag-Leffler function E_{p,q}(z) for real z.
-
-    Raises EvaluationError when no branch can certify the target accuracy
-    (in practice only for overflowing positive arguments).
-    """
-    params = MLParams(float(p), float(q), float(z))
-    return _ml_scalar(params.p, params.q, params.z)
 
 
 def mittag_leffler_array(p: float, q: float, z) -> np.ndarray:
@@ -289,16 +259,23 @@ def _psi_scalar(alpha: float, theta: float) -> float:
     )
 
 
+def _check_stable(alpha: float, theta: float) -> tuple[float, float]:
+    alpha, theta = float(alpha), float(theta)
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must lie strictly in (0,1), got {alpha}")
+    if not theta > 0:
+        raise DomainError(f"theta must be positive, got {theta}")
+    return alpha, theta
+
+
 def psi_alpha(alpha: float, theta: float) -> float:
     """One-sided stable probability density of index alpha at theta > 0."""
-    params = StableDensityParams(float(alpha), float(theta))
-    return _psi_scalar(params.alpha, params.theta)
+    return _psi_scalar(*_check_stable(alpha, theta))
 
 
 def phi_alpha(alpha: float, theta: float) -> float:
     """Derived kernel phi_alpha(theta) = (1/alpha) theta^{-1-1/alpha} psi_alpha(theta^{-1/alpha})."""
-    params = StableDensityParams(float(alpha), float(theta))
-    a, th = params.alpha, params.theta
+    a, th = _check_stable(alpha, theta)
     return (1.0 / a) * th ** (-1.0 - 1.0 / a) * psi_alpha(a, th ** (-1.0 / a))
 
 

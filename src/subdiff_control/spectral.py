@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import linalg as sla
@@ -54,6 +54,15 @@ class SpectralField:
         return float(np.linalg.norm(self.coeffs))
 
 
+def _trapezoid_split(steps: np.ndarray) -> np.ndarray:
+    """Share each step's value half-and-half between its two end nodes (last axis)."""
+    half = 0.5 * np.asarray(steps, dtype=float)
+    nodes = np.zeros(half.shape[:-1] + (half.shape[-1] + 1,))
+    nodes[..., :-1] += half
+    nodes[..., 1:] += half
+    return nodes
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform nodes t_k = k T / n_steps on [0, T]."""
@@ -75,9 +84,12 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.n_steps + 1)
 
-    @property
-    def midpoints(self) -> np.ndarray:
-        return (np.arange(self.n_steps) + 0.5) * self.h
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Trapezoid weights of the nodes, read-only: h/2 at the ends, h inside."""
+        w = _trapezoid_split(np.full(self.n_steps, self.h))
+        w.setflags(write=False)
+        return w
 
 
 def eigenvalues(n_modes: int) -> np.ndarray:
@@ -186,10 +198,7 @@ def terminal_control_map(alpha: float, grid: TimeGrid, influence: np.ndarray) ->
     influence = np.asarray(influence, dtype=float)
     # kernel mass of step j, looking back from T, is g[:, n-1-j]
     wm = kernel_step_integrals(alpha, grid, influence.size)[:, ::-1] * influence[:, None]
-    H = np.zeros((influence.size, grid.n_steps + 1))
-    H[:, :-1] += 0.5 * wm
-    H[:, 1:] += 0.5 * wm
-    return H
+    return _trapezoid_split(wm)
 
 
 def convolution_matrix(alpha: float, grid: TimeGrid, lam_i: float) -> np.ndarray:
@@ -203,7 +212,4 @@ def convolution_matrix(alpha: float, grid: TimeGrid, lam_i: float) -> np.ndarray
         raise DomainError(f"{lam_i} is not an eigenvalue -(i pi)^2 of the model")
     g = kernel_step_integrals(alpha, grid, mode)[-1]
     # step j of node k carries g[k-1-j], shared by the samples j and j+1
-    half = np.concatenate([[0.0], 0.5 * g])
-    L = sla.toeplitz(half, np.zeros_like(half))
-    L[:, 1:] += L[:, :-1]
-    return L
+    return _trapezoid_split(sla.toeplitz(np.concatenate([[0.0], g]), np.zeros(grid.n_steps)))

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from subdiff_control import cli
 from subdiff_control.cli import main
 from subdiff_control.config import (
     ProblemConfig,
@@ -12,7 +13,12 @@ from subdiff_control.config import (
     loads_config,
     save_config,
 )
-from subdiff_control.errors import ConfigError
+from subdiff_control.errors import (
+    ConfigError,
+    EvaluationError,
+    QuadratureError,
+    SingularGramianError,
+)
 
 
 def _cfg_dict(**overrides):
@@ -93,6 +99,18 @@ class TestValidation:
             Tolerances(gramian_rank=0.0)
         with pytest.raises(ConfigError):
             Tolerances(verify_distance=-1e-3)
+        # an infinite rank cut marks every mode dead; an infinite distance
+        # accepts every miss; a cut >= 1 discards every Gramian direction
+        for bad in (float("inf"), float("nan"), 1.0, 2.0):
+            with pytest.raises(ConfigError):
+                Tolerances(gramian_rank=bad)
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ConfigError):
+                Tolerances(verify_distance=bad)
+        data = json.loads('{"tolerances": {"gramian_rank": Infinity}}')
+        with pytest.raises(ConfigError) as exc:
+            loads_config(_cfg_dict(**data))
+        assert exc.value.field == "tolerances.gramian_rank"
 
     def test_unknown_tolerance_keys(self):
         # older files carry the unread "quadrature" tolerance: it is dropped
@@ -176,6 +194,48 @@ class TestCliSynthesize:
         cfg_path = _write_cfg(tmp_path, alpha=2.0)
         assert main(["synthesize", "--config", str(cfg_path)]) == 1
         assert main(["synthesize", "--config", str(tmp_path / "missing.json")]) == 1
+
+
+class TestCliFailures:
+    @staticmethod
+    def _exit_cleanly(argv, capsys, code):
+        assert main(argv) == code
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        self._exit_cleanly(["synthesize", "--config", str(tmp_path)], capsys, 1)
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "not_utf8.json"
+        path.write_bytes(json.dumps(_cfg_dict()).encode() + b" \xff")
+        self._exit_cleanly(["analyze", "--config", str(path), "--out", str(tmp_path)], capsys, 1)
+
+    def test_out_is_an_existing_file(self, tmp_path, capsys):
+        cfg_path = _write_cfg(tmp_path)
+        argv = ["analyze", "--config", str(cfg_path), "--out", str(cfg_path)]
+        self._exit_cleanly(argv, capsys, 1)
+
+    def test_control_not_utf8(self, tmp_path, capsys):
+        cfg_path = _write_cfg(tmp_path)
+        (tmp_path / "control.csv").write_bytes(b"t,u\n0,\xff\n")
+        self._exit_cleanly(["verify", "--config", str(cfg_path), "--out", str(tmp_path)], capsys, 1)
+
+    @pytest.mark.parametrize(
+        "error,code",
+        [
+            (SingularGramianError("not positive definite"), 3),
+            (EvaluationError("no branch certifies"), 4),
+            (QuadratureError("non-finite entries"), 4),
+        ],
+    )
+    def test_solver_failure_exit_codes(self, tmp_path, capsys, monkeypatch, error, code):
+        def fail(config):
+            raise error
+
+        monkeypatch.setattr(cli, "solve_rhum", fail)
+        cfg_path = _write_cfg(tmp_path)
+        argv = ["synthesize", "--config", str(cfg_path), "--out", str(tmp_path)]
+        self._exit_cleanly(argv, capsys, code)
 
 
 class TestCliVerify:

@@ -226,6 +226,12 @@ class TestSweep:
             epsilon_sweep(cfg, [1e-2, -1e-3])
         with pytest.raises(DomainError):
             epsilon_sweep(cfg, [1e-2], "strong")
+        # the form is checked before the synthesis could refuse the target
+        unreachable = _small_config(
+            actuator={"kind": "pointwise", "b": 1.0 / 3.0}, y0=(0.0, 0.0, 1.0), target_modes=(1, 2)
+        )
+        with pytest.raises(DomainError):
+            epsilon_sweep(unreachable, [1e-3], "strong")
 
     @pytest.mark.parametrize("form", ["mild", "caputo"])
     def test_rows_match_single_solves(self, form):

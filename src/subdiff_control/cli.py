@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from .errors import (
 )
 from .penalized import epsilon_sweep
 from .rhum import SteeringSystem, control_energy, solve_rhum, steering_system, verify_transfer
+from .spectral import TimeGrid
 
 EXIT_CONFIG = 1
 EXIT_NON_STRATEGIC = 2
@@ -55,17 +57,26 @@ def _write_json(path: Path, payload: dict) -> None:
     )
 
 
-def _read_control_csv(path: Path) -> np.ndarray:
+def _read_control_csv(path: Path, grid: TimeGrid) -> np.ndarray:
+    """The u column of a control file whose rows are the grid's nodes t and finite u."""
     try:
         lines = path.read_text(encoding="utf-8").strip().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("<control>", f"cannot read {path}: {exc}") from exc
+    nodes = grid.nodes
+    if len(lines) - 1 != nodes.size:
+        msg = f"control file has {len(lines) - 1} samples but the grid needs {nodes.size}"
+        raise ConfigError("<control>", msg)
     vals = []
-    for k, line in enumerate(lines[1:], start=2):
+    for k, (line, node) in enumerate(zip(lines[1:], nodes), start=2):
         try:
-            vals.append(float(line.split(",")[1]))
-        except (IndexError, ValueError):
+            t, u = (float(v) for v in line.split(","))
+        except ValueError:
             raise ConfigError("<control>", f"line {k} of {path} is not 't,u': {line!r}") from None
+        if not (math.isfinite(u) and abs(t - node) <= 1e-9 * grid.T):
+            msg = f"line {k} of {path} needs grid node t={float(node)!r} and a finite u: {line!r}"
+            raise ConfigError("<control>", msg)
+        vals.append(u)
     return np.array(vals)
 
 
@@ -121,12 +132,7 @@ def _cmd_verify(config: ProblemConfig, out: Path) -> int:
     control_path = out / "control.csv"
     if not control_path.exists():
         raise ConfigError("<control>", f"no control file at {control_path}; run synthesize first")
-    u = _read_control_csv(control_path)
-    if u.shape != (config.n_steps + 1,):
-        raise ConfigError(
-            "<control>",
-            f"control file has {u.size} samples but the grid needs {config.n_steps + 1}",
-        )
+    u = _read_control_csv(control_path, config.grid())
     transfer = verify_transfer(config, u)
     report = {
         "distance_to_G": transfer.distance_to_G,

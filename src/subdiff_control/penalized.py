@@ -85,16 +85,15 @@ def dynamics_residual(
     config: ProblemConfig, u: np.ndarray, z: np.ndarray, form: str = "mild"
 ) -> np.ndarray:
     """Defect of (u, z) against the discrete dynamics; shape (n_steps+1, N)."""
+    _check_form(form)
     grid = config.grid()
     influence = config.build_actuator().influence
     u = np.asarray(u, dtype=float)
     z = np.asarray(z, dtype=float)
     if form == "mild":
         return z - mild_trajectory(config.alpha, grid, config.y0_array(), influence, u)
-    if form == "caputo":
-        D = _caputo_matrix(grid, config.alpha)
-        return D @ z - eigenvalues(config.n_modes) * z - np.outer(u, influence)
-    raise DomainError(f"unknown residual form {form!r}")
+    D = _caputo_matrix(grid, config.alpha)
+    return D @ z - eigenvalues(config.n_modes) * z - np.outer(u, influence)
 
 
 @dataclass(frozen=True)

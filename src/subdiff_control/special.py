@@ -12,9 +12,8 @@ strongly negative real arguments.  Three regimes are used:
   first omitted term as a certified error bound and a series fallback),
 * the exponential asymptotic form for large positive z.
 
-The one-sided stable density psi_alpha is the alternating series
-(1/pi) sum_n (-1)^{n-1} theta^{-alpha n - 1} Gamma(n alpha + 1)/n! sin(n pi alpha),
-summed in adaptive precision with a hard 500-term cap.
+The stable density psi_alpha and the kernel phi_alpha come from Kanter's positive
+integral (Ann. Probab. 3 (1975) 697-707): one quadrature, certified or EvaluationError.
 """
 
 from __future__ import annotations
@@ -149,8 +148,8 @@ def mittag_leffler(p: float, q: float, z: float) -> float:
     (in practice only for overflowing positive arguments).
     """
     p, q, z = float(p), float(q), float(z)
-    if not p > 0:
-        raise DomainError(f"first Mittag-Leffler index must be positive, got {p}")
+    if not (0.0 < p < math.inf and math.isfinite(q) and math.isfinite(z)):
+        raise DomainError(f"Mittag-Leffler needs finite q, z and p > 0, got p={p}, q={q}, z={z}")
     if z == 0.0:
         return float(sp.rgamma(q))
     x = abs(z) ** (1.0 / p)
@@ -177,106 +176,84 @@ def mittag_leffler_array(p: float, q: float, z) -> np.ndarray:
     return np.array(vals, dtype=float).reshape(zs.shape)
 
 
-def _psi_log_terms(alpha: float, theta: float, n_max: int) -> np.ndarray:
-    n = np.arange(1, n_max + 1)
-    s = np.abs(np.sin(n * np.pi * alpha))
-    with np.errstate(divide="ignore"):
-        log_s = np.where(s > 0, np.log(np.maximum(s, 1e-300)), -np.inf)
-    return (
-        -(alpha * n + 1) * math.log(theta)
-        + sp.gammaln(n * alpha + 1)
-        - sp.gammaln(n + 1.0)
-        + log_s
-        - math.log(math.pi)
-    )
+_KANTER_QUAD_RTOL = 1e-12  # quad's target on Kanter's integral
+_KANTER_CERTIFY_RTOL = 1e-10  # the bound its error estimate must meet, else EvaluationError
 
 
-def _psi_small_theta_log(alpha: float, theta: float) -> float:
-    # Stretched-exponential decay rate of the one-sided stable density
-    # near the origin, used only to budget working precision.
-    if theta >= 1.0:
+def _kanter(alpha: float, log_c: float, k: float) -> float:
+    """c^k K(c), K(c) = (1/pi) int_0^pi A(u) e^{-c A(u)} du, c = e^{log_c}.
+
+    Kanter's A(u) = (sin(alpha u)/sin u)^{1/(1-alpha)} sin((1-alpha)u)/sin(alpha u) rises
+    from A(0) = (1-alpha) alpha^{alpha/(1-alpha)} to infinity on (0, pi): nothing cancels.
+    The integral runs over s = log(pi - u), where sin u keeps its digits near pi, split at
+    the peak (c A = 1, or u = 0 if c A(0) >= 1); c^k and the peak stay in the exponent.
+    """
+    from scipy.integrate import quad  # here, not at the top: it costs ~0.3 s of import
+
+    b = 1.0 - alpha
+    log_pi = math.log(math.pi)
+
+    def log_ca(t: float, s0: float) -> float:
+        # log(c A(u)) at pi - u = e^{s0 + t}; s0 leaves before t enters, so t keeps its digits.
+        v = math.exp(s0 + t)
+        u = math.pi - v
+        log_sinc = math.log(math.sin(min(u, v)) / v) if v > 1e-8 else 0.0
+        return ((log_c - s0 / b) - t / b + (alpha / b) * math.log(math.sin(alpha * u))
+                + math.log(math.sin(b * u)) - log_sinc / b)
+
+    def root(target: float) -> float:
+        # Largest s found with log(c A) >= target; log(c A) decreases in s.
+        lo, hi = log_pi - 1.0, log_pi
+        while log_ca(lo, 0.0) < target:
+            lo, hi = 2.0 * lo - hi, lo
+        for _ in range(50):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if log_ca(mid, 0.0) >= target else (lo, mid)
+        return lo
+
+    y0 = log_c + math.log(b) + (alpha / b) * math.log(alpha)  # log(c A(0))
+    s0, m = (root(0.0), -1.0) if y0 < 0.0 else (0.0, y0 - math.exp(min(y0, 700.0)) + log_pi)
+    log_scale = (k - 1.0) * log_c + s0 + m
+    if log_scale < -800.0:  # the value underflows (always so when y0 > 700)
         return 0.0
-    c = (1.0 - alpha) * alpha ** (alpha / (1.0 - alpha))
-    return -c * theta ** (-alpha / (1.0 - alpha))
+    s_lo, t_pi = root(math.log(math.exp(y0) + 60.0)) - s0, log_pi - s0  # 60 e-folds down
+    # Near pi the peak is ~(1 - alpha) wide in s; a cut 40 widths out spares quad the flat tail.
+    cuts = (s_lo, 0.0, min(40.0 * b, 0.5 * t_pi), t_pi) if y0 < 0.0 else (s_lo, t_pi)
 
+    def integrand(t: float) -> float:
+        y = log_ca(t, s0)
+        return math.exp(y - math.exp(y) + t - m)
 
-_PSI_CAP = 500
-
-
-@lru_cache(maxsize=1 << 16)
-def _psi_scalar(alpha: float, theta: float) -> float:
-    logs = _psi_log_terms(alpha, theta, _PSI_CAP)
-    peak = float(np.max(logs))
-    # Expected magnitude of the answer, to size both precision and tail cuts.
-    # (For theta < 1 the density is stretched-exponentially small; for
-    # theta >= 1 the leading term already has the right scale.)
-    scale_log = _psi_small_theta_log(alpha, theta) if theta < 1.0 else min(logs[0], 0.0)
-    # Truncation: individual terms at exact multiples of 1/alpha vanish
-    # (sin(n pi alpha) = 0), so a single-small-term test is unsafe; cut where
-    # the *envelope* (suffix maximum of the log terms) is beyond the target.
-    suffix_max = np.maximum.accumulate(logs[::-1])[::-1]
-    below = np.nonzero(suffix_max <= scale_log - 42.0)[0]
-    if below.size == 0:
-        raise EvaluationError(
-            f"psi series not converged within {_PSI_CAP} terms "
-            f"(alpha={alpha}, theta={theta}); theta too close to 0"
-        )
-    n_terms = int(below[0]) + 1
-    dps = 25 + max(0, int((peak - scale_log) * _LOG10E)) + 15
-    for _ in range(3):
-        if dps > 800:
-            raise EvaluationError(
-                f"psi evaluation needs more than 800 digits (alpha={alpha}, theta={theta})"
-            )
-        with mp.workdps(dps):
-            th = mp.mpf(theta)
-            a = mp.mpf(alpha)
-            acc = mp.mpf(0)
-            for n in range(1, n_terms + 1):
-                acc += (
-                    (-1) ** (n - 1)
-                    * th ** (-a * n - 1)
-                    * mp.gamma(n * a + 1)
-                    / mp.factorial(n)
-                    * mp.sin(n * mp.pi * a)
-                ) / mp.pi
-            val = float(acc)
-        abs_err = 10.0 ** (peak * _LOG10E - dps + 3)
-        if val > 0.0 and abs_err <= 1e-12 * val:
-            return val
-        if abs(val) <= max(abs_err, 1e-280):
-            # Indistinguishable from zero at the certified precision and the
-            # a-priori scale says the density is negligible there.
-            if 10.0 ** (scale_log * _LOG10E) <= max(abs_err, 1e-280):
-                return 0.0
-        if val < 0.0 and abs(val) > abs_err:
-            raise EvaluationError(
-                f"psi series gave a certified negative value (alpha={alpha}, theta={theta})"
-            )
-        dps += 60
-    raise EvaluationError(
-        f"psi lost precision near theta=0 (alpha={alpha}, theta={theta})"
-    )
+    val, err = quad(integrand, cuts[0], cuts[-1], points=cuts[1:-1] or None, epsabs=0.0,
+                    epsrel=_KANTER_QUAD_RTOL, limit=200, full_output=1)[:2]
+    if not (val > 0.0 and err <= _KANTER_CERTIFY_RTOL * val and log_scale + math.log(val) < 709.0):
+        raise EvaluationError(f"Kanter integral uncertified or too large (alpha={alpha}, log c={log_c})")
+    return math.exp(log_scale + math.log(val)) / math.pi
 
 
 def _check_stable(alpha: float, theta: float) -> tuple[float, float]:
     alpha, theta = float(alpha), float(theta)
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie strictly in (0,1), got {alpha}")
-    if not theta > 0:
-        raise DomainError(f"theta must be positive, got {theta}")
+    if not (0.0 < alpha < 1.0 and 0.0 < theta < math.inf):
+        raise DomainError(f"need 0 < alpha < 1 and finite theta > 0, got {alpha}, {theta}")
     return alpha, theta
 
 
 def psi_alpha(alpha: float, theta: float) -> float:
-    """One-sided stable probability density of index alpha at theta > 0."""
-    return _psi_scalar(*_check_stable(alpha, theta))
+    """One-sided stable density of index alpha at theta > 0.
+
+    Kanter: psi_alpha(theta) = alpha/(1-alpha) c^{1/alpha} K(c), c = theta^{-alpha/(1-alpha)}.
+    """
+    a, th = _check_stable(alpha, theta)
+    return a / (1.0 - a) * _kanter(a, -a / (1.0 - a) * math.log(th), 1.0 / a)
 
 
 def phi_alpha(alpha: float, theta: float) -> float:
-    """Derived kernel phi_alpha(theta) = (1/alpha) theta^{-1-1/alpha} psi_alpha(theta^{-1/alpha})."""
+    """Derived kernel phi_alpha(theta) = (1/alpha) theta^{-1-1/alpha} psi_alpha(theta^{-1/alpha}).
+
+    Evaluated directly, not through psi: c^alpha K(c)/(1-alpha), c = theta^{1/(1-alpha)}.
+    """
     a, th = _check_stable(alpha, theta)
-    return (1.0 / a) * th ** (-1.0 - 1.0 / a) * psi_alpha(a, th ** (-1.0 / a))
+    return _kanter(a, math.log(th) / (1.0 - a), a) / (1.0 - a)
 
 
 def phi_alpha_moment(alpha: float, nu: float) -> float:

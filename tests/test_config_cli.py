@@ -258,15 +258,20 @@ class TestCliVerify:
         assert main(["synthesize", "--config", str(cfg_path), "--out", str(out)]) == 0
         other = _write_cfg(tmp_path, name="other.json", n_steps=64)
         assert main(["verify", "--config", str(other), "--out", str(out)]) == 1
+        # same n_steps, another horizon: the file's t are not this grid's nodes
+        longer = _write_cfg(tmp_path, name="longer.json", T=2.0)
+        assert main(["verify", "--config", str(longer), "--out", str(out)]) == 1
 
-    @pytest.mark.parametrize("row", ["0.5,abc", "0.5"])
+    @pytest.mark.parametrize(
+        "row", ["0.5,abc", "0.5", "{t},nan", "{t},inf", "{t},-inf", "{t},1.0,2.0", "0.5,1.0"]
+    )
     def test_verify_malformed_control(self, tmp_path, capsys, row):
         cfg_path = _write_cfg(tmp_path)
         out = tmp_path / "out"
         assert main(["synthesize", "--config", str(cfg_path), "--out", str(out)]) == 0
         control = out / "control.csv"
         lines = control.read_text().splitlines()
-        lines[3] = row
+        lines[3] = row.format(t=lines[3].split(",")[0])  # "{t}" keeps the row's own node
         control.write_text("\n".join(lines) + "\n")
         assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert "<control>" in capsys.readouterr().err
@@ -344,3 +349,40 @@ class TestCliAnalyze:
         payload = json.loads((out / "analysis.json").read_text())
         assert payload["strategic"] is False
         assert payload["dead_modes"] == [3]
+
+
+class TestTypedErrorPaths:
+    def test_alpha_given_as_string(self):
+        with pytest.raises(ConfigError) as exc:
+            loads_config(_cfg_dict(alpha="0.5"))
+        assert exc.value.field == "alpha"
+
+    def test_actuator_given_as_list(self):
+        with pytest.raises(ConfigError) as exc:
+            loads_config(_cfg_dict(actuator=["zone", 0.2, 0.5]))
+        assert exc.value.field == "actuator"
+
+    def test_tolerances_given_as_dict_to_problem_config(self):
+        with pytest.raises(ConfigError) as exc:
+            ProblemConfig(**_cfg_dict(tolerances={"gramian_rank": 1e-10}))
+        assert exc.value.field == "tolerances"
+
+    def test_tolerances_given_as_a_number(self):
+        with pytest.raises(ConfigError) as exc:
+            loads_config(_cfg_dict(tolerances=3))
+        assert exc.value.field == "tolerances"
+
+    def test_empty_annihilator(self, tmp_path):
+        # G is the whole space: nothing to steer.  Pinned as it stands: a
+        # condition of 1.0 and a min eigenvalue of 0.0 for the empty Gramian,
+        # eec true, and a zero control.
+        cfg_path = _write_cfg(tmp_path, target_modes=[1, 2, 3])
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(cfg_path), "--out", str(out)]) == 0
+        analysis = json.loads((out / "analysis.json").read_text())
+        assert analysis["gramian_condition"] == 1.0
+        assert analysis["gramian_min_eigenvalue"] == 0.0
+        assert analysis["eec"] is True
+        assert main(["synthesize", "--config", str(cfg_path), "--out", str(out)]) == 0
+        rows = (out / "control.csv").read_text().splitlines()[1:]
+        assert len(rows) == 33 and all(float(r.split(",")[1]) == 0.0 for r in rows)

@@ -284,3 +284,13 @@ class TestLinearity:
         out = rl_integral_left(sig, 1.0)
         exact = np.sin(2 * sig.grid) / 2.0
         assert np.max(np.abs(out.values - exact)) <= 5.0 * sig.h
+
+
+class TestOrderErrors:
+    def test_rl_integral_needs_positive_order(self):
+        with pytest.raises(DomainError):
+            rl_integral_left(_signal(np.sin), 0.0)
+
+    def test_rl_derivative_needs_order_below_one(self):
+        with pytest.raises(DomainError):
+            rl_deriv_left(_signal(np.sin), 1.0)

@@ -263,3 +263,10 @@ class TestSweep:
         rows = epsilon_sweep(cfg, [1e-4])
         assert len(rows) == 1
         assert rows[0].epsilon == 1e-4
+
+
+def test_dynamics_residual_rejects_unknown_form():
+    cfg = _small_config()
+    n = cfg.n_steps + 1
+    with pytest.raises(DomainError):
+        dynamics_residual(cfg, np.zeros(n), np.zeros((n, cfg.n_modes)), "weak")

@@ -1,6 +1,8 @@
 """Tests for gamma, Mittag-Leffler and the one-sided stable density."""
 
 import math
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import erf, gammaln
+from scipy.special import erf, gammaln, kv, rgamma
 
 from subdiff_control.errors import DomainError, EvaluationError, PoleError
 from subdiff_control.special import (
@@ -171,6 +173,12 @@ class TestMittagLeffler:
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             mittag_leffler(0.0, 1.0, 1.0)
+        for p in (0.5, 0.99):
+            for z in (math.nan, math.inf, -math.inf):
+                with pytest.raises(DomainError):
+                    mittag_leffler(p, 1.0, z)
+        with pytest.raises(DomainError):
+            mittag_leffler(0.5, math.nan, -1.0)
 
     def test_overflow_raises(self):
         with pytest.raises(EvaluationError):
@@ -263,3 +271,78 @@ class TestPhiMoments:
             phi_alpha_moment(1.2, 1.0)
         with pytest.raises(DomainError):
             phi_alpha_moment(0.4, -1.0)
+
+
+def _rel(value, oracle):
+    return abs(value / oracle - 1.0)
+
+
+class TestKanterOracles:
+    """psi_alpha and phi_alpha against oracles that share no code with Kanter's integral."""
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.9, 0.99])
+    def test_large_theta_series(self, alpha):
+        # (1/pi) sum (-1)^{n+1} Gamma(n alpha+1)/n! sin(n pi alpha) theta^{-n alpha-1},
+        # summed in float64 where theta^{-alpha} <= 0.05 (terms fall geometrically)
+        for th in np.geomspace(0.05 ** (-1.0 / alpha), 1e4 * 0.05 ** (-1.0 / alpha), 25):
+            series = sum(
+                (-1) ** (n + 1)
+                * math.exp(gammaln(n * alpha + 1) - gammaln(n + 1.0) - (n * alpha + 1) * math.log(th))
+                * math.sin(n * math.pi * alpha)
+                for n in range(1, 60)
+            ) / math.pi
+            assert _rel(psi_alpha(alpha, th), series) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.25, 0.5, 0.75, 0.9, 0.99])
+    def test_small_theta_wright_series(self, alpha):
+        # phi_alpha(theta) = sum (-theta)^n / (n! Gamma(1 - alpha - alpha n))
+        for th in np.geomspace(1e-12, 0.05, 25):
+            series, term = 0.0, 1.0
+            for n in range(30):
+                series += term * rgamma(1.0 - alpha - alpha * n)
+                term *= -th / (n + 1)
+            assert _rel(phi_alpha(alpha, th), series) <= 1e-12
+
+    def test_one_third_bessel_closed_form(self):
+        # psi_{1/3}(x) = x^{-3/2} K_{1/3}(2 / sqrt(27 x)) / (3 pi)
+        for x in np.geomspace(1e-3, 1e6, 40):
+            closed = x**-1.5 * kv(1.0 / 3.0, 2.0 / math.sqrt(27.0 * x)) / (3.0 * math.pi)
+            assert _rel(psi_alpha(1.0 / 3.0, x), closed) <= 1e-12
+
+    @pytest.mark.parametrize("theta", [10.0, 30.0, 37.0])
+    def test_half_gaussian_tail(self, theta):
+        # phi_{1/2} is the half-Gaussian e^{-theta^2/4}/sqrt(pi); 37 gives ~1e-149
+        closed = math.exp(-theta * theta / 4.0) / math.sqrt(math.pi)
+        assert _rel(phi_alpha(0.5, theta), closed) <= 1e-10
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9])
+    @pytest.mark.parametrize("s", [0.5, 2.0, 10.0])
+    def test_subordination_laplace_transform(self, alpha, s):
+        # the mode-wise propagator: int_0^inf phi_alpha(theta) e^{-s theta} = E_alpha(-s)
+        def f(th):
+            return phi_alpha(alpha, th) * math.exp(-s * th)
+
+        head, _ = quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)
+        tail, _ = quad(f, 1.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)
+        assert _rel(head + tail, mittag_leffler(alpha, 1.0, -s)) <= 1e-10
+
+    def test_edge_arguments(self):
+        for f in (psi_alpha, phi_alpha):
+            for th in (0.0, -1.0, math.inf, math.nan):
+                with pytest.raises(DomainError):
+                    f(0.5, th)
+        for th in (100.0, 1e3, 1e200):
+            assert phi_alpha(0.5, th) == 0.0
+
+    def test_certified_over_the_domain(self):
+        for alpha in (0.05, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99):
+            for th in np.geomspace(1e-8, 1e4, 40):
+                for f in (psi_alpha, phi_alpha):
+                    v = f(alpha, th)
+                    assert math.isfinite(v) and v >= 0.0
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # quad is imported where the density needs it, so a CLI start does not pay for it
+    code = "import subdiff_control.cli, sys; assert 'scipy.integrate' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True)

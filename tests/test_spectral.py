@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from subdiff_control.errors import DomainError
+from subdiff_control.errors import DomainError, QuadratureError
 from subdiff_control.spectral import (
     SpectralField,
     TimeGrid,
@@ -238,3 +238,22 @@ class TestMildSolution:
         L = convolution_matrix(0.45, grid, lam)
         traj = mild_trajectory(0.45, grid, np.zeros(1), np.ones(1), u)
         assert np.allclose(L @ u, traj[:, 0], rtol=1e-12, atol=1e-14)
+
+
+class TestTypedErrors:
+    def test_apply_R_order_and_time(self):
+        f = SpectralField(np.array([1.0, 0.5]))
+        with pytest.raises(DomainError):
+            apply_R(1.5, 1.0, f)
+        with pytest.raises(DomainError):
+            apply_R(0.5, -1.0, f)
+
+    def test_convolution_matrix_needs_a_model_eigenvalue(self):
+        with pytest.raises(DomainError):
+            convolution_matrix(0.5, TimeGrid(1.0, 16), -10.0)
+
+    def test_nan_control_is_a_quadrature_error(self):
+        u = np.zeros(17)
+        u[5] = np.nan
+        with pytest.raises(QuadratureError):
+            mild_trajectory(0.5, TimeGrid(1.0, 16), np.ones(2), np.ones(2), u)

@@ -1,9 +1,14 @@
 """Tests for configuration validation, JSON round-trips, and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import subdiff_control
 from subdiff_control import cli
 from subdiff_control.cli import main
 from subdiff_control.config import (
@@ -349,6 +354,27 @@ class TestCliAnalyze:
         payload = json.loads((out / "analysis.json").read_text())
         assert payload["strategic"] is False
         assert payload["dead_modes"] == [3]
+
+    # alpha 0.99 with N=12: the node table needs E_{0.99,1}(z) for |z| up to ~1400,
+    # where the scalar series costs seconds per value (it ran past 600 s once)
+    PROBE = {
+        "alpha": 0.99, "T": 1.0, "n_modes": 12, "n_steps": 256,
+        "y0": [1.0] + [0.0] * 11,
+        "actuator": {"kind": "zone", "a": 0.2, "b": 0.5},
+        "target_modes": list(range(2, 13)),
+    }
+
+    def test_near_classical_probe_ends_in_seconds(self, tmp_path):
+        cfg_path = tmp_path / "probe.json"
+        cfg_path.write_text(json.dumps(self.PROBE), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(subdiff_control.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "subdiff_control", "analyze", "--config", str(cfg_path),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode in (0, 1, 2, 3, 4), proc.stderr  # the documented exit codes
+        assert "Traceback" not in proc.stderr
 
 
 class TestTypedErrorPaths:

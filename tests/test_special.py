@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erf, gammaln, kv, rgamma
 
+from subdiff_control import special
 from subdiff_control.errors import DomainError, EvaluationError, PoleError
 from subdiff_control.special import (
     gamma_fn,
@@ -196,6 +197,74 @@ class TestMittagLeffler:
     )
     def test_zero_argument_property(self, p, q):
         assert mittag_leffler(p, q, 0.0) == pytest.approx(1.0 / gamma_fn(q), rel=1e-12)
+
+
+def _neg_z(max_abs):
+    """Arguments in [-max_abs, 0]: hypothesis' own floats plus a log-uniform spread."""
+    log_top = math.log10(max_abs)
+    return st.one_of(
+        st.floats(min_value=-max_abs, max_value=0.0),
+        st.floats(min_value=-8.0, max_value=log_top).map(lambda e: -(10.0**e)),
+    )
+
+
+class TestMittagLefflerArray:
+    """The vectorized float64 contour path against the scalar mpmath path as oracle."""
+
+    @settings(max_examples=60, deadline=3000)
+    @given(
+        st.floats(min_value=0.05, max_value=0.98),
+        st.booleans(),
+        st.lists(_neg_z(1e6), min_size=1, max_size=4),
+    )
+    def test_matches_scalar_oracle(self, alpha, beta_is_alpha, z):
+        beta = alpha if beta_is_alpha else 1.0
+        expected = [mittag_leffler(alpha, beta, zi) for zi in z]
+        np.testing.assert_allclose(mittag_leffler_array(alpha, beta, z), expected,
+                                   rtol=1e-10, atol=0.0)
+
+    @settings(max_examples=20, deadline=3000)
+    @given(
+        st.floats(min_value=0.98, max_value=0.999, exclude_min=True),
+        st.booleans(),
+        _neg_z(200.0),
+    )
+    def test_matches_scalar_oracle_near_one(self, alpha, beta_is_alpha, z):
+        # where the oracle's series is still affordable
+        beta = alpha if beta_is_alpha else 1.0
+        np.testing.assert_allclose(mittag_leffler_array(alpha, beta, [z]),
+                                   [mittag_leffler(alpha, beta, z)], rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("p, z", [(0.5, [2.0, 0.0, 25.0]), (1.2, [-3.0, 1.5])])
+    def test_outside_the_contour_is_the_scalar_value(self, p, z):
+        assert mittag_leffler_array(p, 1.0, z).tolist() == [mittag_leffler(p, 1.0, x) for x in z]
+
+    def test_node_tables_certify_without_the_scalar_path(self, monkeypatch):
+        # E_{a,1} and E_{a,a} at lambda_i t_k^a, N=12, n=256: the contour certifies every value
+        def scalar(*args):
+            raise AssertionError(f"scalar fallback at {args}")
+
+        monkeypatch.setattr(special, "mittag_leffler", scalar)
+        lam, t = -((np.pi * np.arange(1, 13)) ** 2), np.linspace(0.0, 1.0, 257)[1:]
+        for alpha in (0.05, 0.3, 0.6, 0.9, 0.99, 0.999):
+            z = np.outer(lam, t**alpha)
+            assert np.all(mittag_leffler_array(alpha, 1.0, z) > 0.0)
+            if alpha < 0.999:
+                assert np.all(mittag_leffler_array(alpha, alpha, z) > 0.0)
+
+    def test_uncertified_values_fall_back_to_the_scalar(self, monkeypatch):
+        monkeypatch.setattr(special, "_CONTOUR_RTOL", 0.0)  # no pass can certify
+        z = np.array([[-0.5, -30.0], [-2e3, -7.0]])
+        out = mittag_leffler_array(0.7, 0.7, z)
+        assert out.tolist() == [[mittag_leffler(0.7, 0.7, x) for x in row] for row in z.tolist()]
+
+    def test_domain_errors(self):
+        for z in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                mittag_leffler_array(0.5, 1.0, [-1.0, z])
+        for p in (0.0, -0.5):
+            with pytest.raises(DomainError):
+                mittag_leffler_array(p, 1.0, [-1.0, -2.0])
 
 
 class TestStableDensity:

@@ -17,6 +17,7 @@ from subdiff_control.spectral import (
     convolution_matrix,
     eigenfunction,
     eigenvalues,
+    kernel_step_integrals,
     mild_trajectory,
     propagator_factors,
 )
@@ -114,7 +115,8 @@ class TestPropagators:
         grid = TimeGrid(1.0, 8)
         table = propagator_factors(0.5, grid, 2)
         assert table.shape == (2, 9)
-        assert table[1, 3] == mittag_leffler(0.5, 1.0, eigenvalues(2)[1] * grid.nodes[3] ** 0.5)
+        expected = mittag_leffler(0.5, 1.0, eigenvalues(2)[1] * grid.nodes[3] ** 0.5)
+        np.testing.assert_allclose(table[1, 3], expected, rtol=1e-13, atol=0.0)
         with pytest.raises(ValueError):
             table[1, 3] = 0.0
 
@@ -238,6 +240,29 @@ class TestMildSolution:
         L = convolution_matrix(0.45, grid, lam)
         traj = mild_trajectory(0.45, grid, np.zeros(1), np.ones(1), u)
         assert np.allclose(L @ u, traj[:, 0], rtol=1e-12, atol=1e-14)
+
+
+class TestKernelMasses:
+    """kernel_step_integrals against quad, not against the table it differences.
+
+    np.diff of the node table multiplies the table's relative error by about
+    |E| / |Delta E| (~1e3 at n=1024), so the masses are checked directly: the
+    oracle integrates tau^(a-1) E_{a,a}(lambda tau^a) over one step with quad,
+    after v = tau^a, as (1/a) int E_{a,a}(lambda v) dv with the scalar mpmath
+    E_{a,a}.  The first step holds the kernel's singularity, which v = tau^a removes
+    for quad.
+    """
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9])
+    def test_first_middle_and_last_step(self, alpha):
+        grid = TimeGrid(1.0, 1024)
+        g = kernel_step_integrals(alpha, grid, 8)
+        for i, lam in enumerate(eigenvalues(8)):
+            for m in (0, grid.n_steps // 2, grid.n_steps - 1):
+                lo, hi = grid.nodes[m] ** alpha, grid.nodes[m + 1] ** alpha
+                mass = quad(lambda v: mittag_leffler(alpha, alpha, lam * v), lo, hi,
+                            epsabs=0.0, epsrel=1e-11, limit=100)[0] / alpha
+                assert g[i, m] == pytest.approx(mass, rel=1e-10, abs=0.0), (i, m)
 
 
 class TestTypedErrors:

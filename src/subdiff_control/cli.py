@@ -13,6 +13,7 @@ the output directory.  Failure paths map to distinct exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -40,14 +41,10 @@ EXIT_SINGULAR = 3
 EXIT_QUADRATURE = 4
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % float(x)
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    """One line per row of ``rows`` (a 2-D array or a list of equal-length rows), %.17g each."""
+    fmt = ",".join(["%.17g"] * len(header))
+    lines = [",".join(header)] + [fmt % tuple(row) for row in np.asarray(rows, float).tolist()]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -101,11 +98,11 @@ def _cmd_synthesize(config: ProblemConfig, out: Path) -> int:
     control_path = out / "control.csv"
     traj_path = out / "trajectory.csv"
     report_path = out / "report.json"
-    _write_csv(control_path, ["t", "u"], zip(nodes, sol.u_star))
+    _write_csv(control_path, ["t", "u"], np.column_stack([nodes, sol.u_star]))
     _write_csv(
         traj_path,
         ["t"] + [f"coeff_{i+1}" for i in range(config.n_modes)],
-        (np.concatenate([[t], row]) for t, row in zip(nodes, transfer.trajectory)),
+        np.column_stack([nodes, transfer.trajectory]),
     )
     analysis = _analysis_payload(config, sol.system)
     report = {
@@ -156,7 +153,7 @@ def _cmd_sweep(config: ProblemConfig, out: Path, eps_arg: str) -> int:
     _write_csv(
         out / "sweep.csv",
         ["epsilon", "J_eps", "rel_control_err", "residual_norm"],
-        ((r.epsilon, r.J_eps, r.rel_control_err, r.residual_norm) for r in rows),
+        [(r.epsilon, r.J_eps, r.rel_control_err, r.residual_norm) for r in rows],
     )
     report = {
         "epsilons": [r.epsilon for r in rows],
@@ -200,8 +197,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on the first call and reused by every later ``main``."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = load_config(args.config)
         out = Path(args.out)

@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 from scipy import special as sp
 
@@ -44,6 +43,8 @@ _LOG10E = math.log10(math.e)
 # so the two branches overlap safely.
 _X_ASYMPTOTIC_NEG = 25.0
 _X_ASYMPTOTIC_POS = 30.0
+# Working-precision cap of the series; a peak term needing more digits is refused up front.
+_SERIES_MAX_DPS = 3000
 
 # Trapezoid rule on the parabola s(u) = mu (1 + iu)^2, u = 0, h, ..., (n-1) h
 # (Weideman & Trefethen, Math. Comp. 76 (2007) 1341-1356).  The first pass
@@ -63,12 +64,18 @@ def gamma_fn(x: float) -> float:
 
 def _ml_series(p: float, q: float, z: float, x: float) -> float:
     """Power series with precision adapted to the peak-term magnitude."""
-    # Peak term is roughly exp(x) in natural log scale for p <= 1.
+    import mpmath as mp  # here, not at the top: only scalar fallbacks reach the series
+
+    # Peak term is roughly exp(x) in natural log scale (its index is k ~ x/p).
+    if 25.0 + x * _LOG10E > _SERIES_MAX_DPS:
+        raise EvaluationError(
+            f"Mittag-Leffler series needs more than {_SERIES_MAX_DPS} digits (p={p}, q={q}, z={z})"
+        )
     dps = 25 + int(x * _LOG10E) if x > 1 else 25
     n_cap = 400 + int(12.0 * max(x, 1.0) / min(p, 1.0))
     kstar = max(x, 1.0) / p
     for _ in range(6):
-        dps = min(dps, 3000)
+        dps = min(dps, _SERIES_MAX_DPS)
         with mp.workdps(dps):
             zm = mp.mpf(z)
             pm = mp.mpf(p)
@@ -168,7 +175,10 @@ def mittag_leffler(p: float, q: float, z: float) -> float:
         raise DomainError(f"Mittag-Leffler needs finite q, z and p > 0, got p={p}, q={q}, z={z}")
     if z == 0.0:
         return float(sp.rgamma(q))
-    x = abs(z) ** (1.0 / p)
+    try:
+        x = abs(z) ** (1.0 / p)
+    except OverflowError:  # beyond the double range: every branch reads x = inf correctly
+        x = math.inf
     if z < 0.0:
         # For p near 1 the algebraic terms all sit on gamma poles and the
         # expansion degenerates, so stay on the (feasible) series there.

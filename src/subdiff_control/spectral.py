@@ -10,7 +10,11 @@ control kernel K(t) by E_{a,a}(lambda_i t^a).  The mild solution evaluates
 per mode with a product quadrature: the full weighted kernel
 (t_k - s)^(a-1) E_{a,a}(lambda (t_k - s)^a) is integrated *exactly* over each
 step through its closed-form antiderivative, so only the control is frozen at
-the step midpoint (average of the adjacent node samples).
+the step midpoint (average of the adjacent node samples).  The quadrature is a
+discrete convolution of the kernel masses with the midpoint control, evaluated
+for all modes at once as one real-FFT product of length 2 n_steps; the masses
+and their spectrum are memoized with the node table, so a warm simulation is
+one forward and one batched inverse transform.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .special import mittag_leffler_array
 
 SQRT2 = math.sqrt(2.0)
 
-# Node tables kept by ``_table``: one (N, n_steps+1) float array each.
+# Node tables kept by ``_table``, and kernel records by ``_kernel``: one each per (a, grid, N).
 TABLE_CACHE_SIZE = 8
 
 
@@ -149,15 +153,32 @@ def _table(alpha: float, grid: TimeGrid, n_modes: int) -> np.ndarray:
     return propagator_factors(alpha, grid, n_modes)
 
 
+@dataclass(frozen=True)
+class _Kernel:
+    """The kernel masses of one node table and their spectrum, both read-only."""
+
+    masses: np.ndarray    # (N, n_steps), see ``kernel_step_integrals``
+    spectrum: np.ndarray  # (N, n_steps+1): rfft of the masses at length 2 n_steps
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _kernel(alpha: float, grid: TimeGrid, n_modes: int) -> _Kernel:
+    masses = np.diff(_table(alpha, grid, n_modes), axis=1) / eigenvalues(n_modes)[:, None]
+    spectrum = np.fft.rfft(masses, n=2 * grid.n_steps, axis=1)
+    masses.setflags(write=False)
+    spectrum.setflags(write=False)
+    return _Kernel(masses, spectrum)
+
+
 def kernel_step_integrals(alpha: float, grid: TimeGrid, n_modes: int) -> np.ndarray:
-    """Exact per-step mass of the weighted kernel; shape (N, n_steps).
+    """Exact per-step mass of the weighted kernel; shape (N, n_steps), read-only.
 
     g[i, m] = integral over [mh, (m+1)h] of tau^(a-1) E_{a,a}(lambda_i tau^a),
     evaluated in closed form through the antiderivative E_{a,1}(lambda tau^a)
     (d/dt E_{a,1}(lambda t^a) = lambda t^(a-1) E_{a,a}(lambda t^a)), so the
     singular corner costs no quadrature error at all.
     """
-    return np.diff(_table(alpha, grid, n_modes), axis=1) / eigenvalues(n_modes)[:, None]
+    return _kernel(alpha, grid, n_modes).masses
 
 
 def mild_trajectory(
@@ -170,24 +191,25 @@ def mild_trajectory(
     """All grid snapshots of the mild solution; shape (n_steps+1, N).
 
     ``u`` holds node samples of the scalar control; the quadrature uses the
-    per-step midpoint value, i.e. the average of adjacent node samples.
+    per-step midpoint value, i.e. the average of adjacent node samples.  The
+    controlled part at node k is sum_{m<k} g[:, k-1-m] u_mid[m]: the first
+    n_steps terms of the linear convolution, which a transform length of
+    2 n_steps (>= 2 n_steps - 1) keeps free of wrap-around.
     """
     _check_alpha(alpha)
     y0 = np.asarray(y0, dtype=float)
+    influence = np.asarray(influence, dtype=float)
     u = np.asarray(u, dtype=float)
-    if u.shape != (grid.n_steps + 1,):
-        raise DomainError(
-            f"control must have {grid.n_steps + 1} node samples, got shape {u.shape}"
-        )
+    n = grid.n_steps
+    if u.shape != (n + 1,):
+        raise DomainError(f"control must have {n + 1} node samples, got shape {u.shape}")
     n_modes = y0.size
-    u_mid = 0.5 * (u[:-1] + u[1:])
-    free = _table(alpha, grid, n_modes)
-    g = kernel_step_integrals(alpha, grid, n_modes)
-    traj = np.empty((grid.n_steps + 1, n_modes))
-    for i in range(n_modes):
-        conv = np.convolve(g[i], u_mid)
-        traj[:, i] = free[i] * y0[i]
-        traj[1:, i] += influence[i] * conv[: grid.n_steps]
+    traj = np.empty((n + 1, n_modes))
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite u is the error below
+        u_hat = np.fft.rfft(0.5 * (u[:-1] + u[1:]), n=2 * n)
+        conv = np.fft.irfft(_kernel(alpha, grid, n_modes).spectrum * u_hat, n=2 * n, axis=1)
+        traj[:] = _table(alpha, grid, n_modes).T * y0
+        traj[1:] += conv[:, :n].T * influence
     if not np.all(np.isfinite(traj)):
         raise QuadratureError("mild-solution convolution produced non-finite values")
     return traj

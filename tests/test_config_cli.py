@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import subdiff_control
@@ -184,6 +185,18 @@ class TestCliSynthesize:
                 f.name: f.read_bytes() for f in sorted(out.iterdir())
             })
         assert outs[0] == outs[1]
+
+    def test_csv_values_carry_17_significant_digits(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        cli._write_csv(path, ["t", "u"], np.array([[0.1, -0.0], [1.0, 1.0 / 3.0]]))
+        assert path.read_text(encoding="utf-8") == (
+            "t,u\n0.10000000000000001,-0\n1,0.33333333333333331\n"
+        )
+
+    def test_parser_is_built_once(self):
+        assert cli._parser() is cli._parser()
+        args = cli._parser().parse_args(["sweep", "--config", "c.json", "--eps", "1e-1"])
+        assert (args.command, args.config, args.out, args.eps) == ("sweep", "c.json", ".", "1e-1")
 
     def test_non_strategic_exit_code(self, tmp_path):
         cfg_path = _write_cfg(

@@ -1,8 +1,11 @@
 """Tests for gamma, Mittag-Leffler and the one-sided stable density."""
 
+import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -26,6 +29,11 @@ from subdiff_control.special import (
 # Lower integration cutoffs below which the density is certified negligible
 # (stretched-exponential decay puts psi under ~1e-12 there).
 _PSI_FLOOR = {0.25: 1.3e-6, 0.4: 8.0e-4, 0.5: 6.8e-3, 0.75: 1.7e-1}
+
+
+def _package_env() -> dict:
+    """The environment with this package's source directory on PYTHONPATH, for subprocesses."""
+    return dict(os.environ, PYTHONPATH=str(Path(special.__file__).parents[1]))
 
 
 def _psi_tail_mass(alpha: float, A: float) -> float:
@@ -184,6 +192,30 @@ class TestMittagLeffler:
     def test_overflow_raises(self):
         with pytest.raises(EvaluationError):
             mittag_leffler(0.3, 1.0, 1e3)
+
+    def test_argument_beyond_double_range_of_x(self):
+        # |z|^(1/p) = 1e400 leaves the double range; the algebraic expansion still
+        # holds: E_{1/2,1}(z) = e^{z^2} erfc(-z) ~ -1/(sqrt(pi) z)
+        val = mittag_leffler(0.5, 1.0, -1e200)
+        assert val == pytest.approx(1.0 / (math.sqrt(math.pi) * 1e200), rel=1e-12)
+        with pytest.raises(EvaluationError):
+            mittag_leffler(0.5, 1.0, 1e200)
+
+    def test_series_beyond_its_digit_cap_ends_at_once(self):
+        # p > 0.98 always takes the series; at z = -1e200 its peak term needs ~6e132
+        # digits, so the call is refused up front instead of summing ~1e134 terms
+        code = (
+            "from subdiff_control.errors import EvaluationError\n"
+            "from subdiff_control.special import mittag_leffler\n"
+            "try:\n"
+            "    print(mittag_leffler(1.5, 1.0, -1e200))\n"
+            "except EvaluationError as exc:\n"
+            "    print('refused:', exc)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env=_package_env())
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(min_value=-20.0, max_value=5.0))
@@ -415,3 +447,22 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     # quad is imported where the density needs it, so a CLI start does not pay for it
     code = "import subdiff_control.cli, sys; assert 'scipy.integrate' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_synthesize_leaves_mpmath_unloaded(tmp_path):
+    # the README config certifies every table value on the contour, so the scalar
+    # series, and with it mpmath, is never imported
+    cfg = {"alpha": 0.4, "T": 1.0, "n_modes": 5, "n_steps": 256, "y0": [1.0, 0.0, 0.0, 0.0, 0.0],
+           "actuator": {"kind": "zone", "a": 0.2, "b": 0.5}, "target_modes": [2, 3, 4, 5]}
+    cfg_path = tmp_path / "problem.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    code = (
+        "import sys\n"
+        "from subdiff_control import cli\n"
+        f"code = cli.main(['synthesize', '--config', {str(cfg_path)!r}, '--out', {str(tmp_path)!r}])\n"
+        "assert code == 0, code\n"
+        "assert 'mpmath' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_package_env())
+    assert proc.returncode == 0, proc.stderr

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from subdiff_control import spectral
 from subdiff_control.errors import DomainError, QuadratureError
 from subdiff_control.spectral import (
     SpectralField,
@@ -240,6 +241,52 @@ class TestMildSolution:
         L = convolution_matrix(0.45, grid, lam)
         traj = mild_trajectory(0.45, grid, np.zeros(1), np.ones(1), u)
         assert np.allclose(L @ u, traj[:, 0], rtol=1e-12, atol=1e-14)
+
+
+class TestFFTSimulator:
+    """The batched real-FFT convolution against a per-mode direct convolution."""
+
+    @staticmethod
+    def _direct(alpha, grid, y0, influence, u):
+        # the product quadrature written out: one np.convolve per mode
+        g = kernel_step_integrals(alpha, grid, y0.size)
+        free = propagator_factors(alpha, grid, y0.size)
+        u_mid = 0.5 * (u[:-1] + u[1:])
+        traj = np.empty((grid.n_steps + 1, y0.size))
+        for i in range(y0.size):
+            traj[:, i] = free[i] * y0[i]
+            traj[1:, i] += influence[i] * np.convolve(g[i], u_mid)[: grid.n_steps]
+        return traj
+
+    @pytest.mark.parametrize("n", [2, 3, 1024])
+    def test_matches_direct_convolution(self, n):
+        rng = np.random.default_rng(n)
+        grid = TimeGrid(1.0, n)
+        y0, infl, u = rng.normal(size=8), rng.normal(size=8), rng.normal(size=n + 1)
+        traj = mild_trajectory(0.6, grid, y0, infl, u)
+        oracle = self._direct(0.6, grid, y0, infl, u)
+        assert np.all(np.abs(traj - oracle) <= 1e-13 * np.abs(oracle).max(axis=0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_control_is_a_quadrature_error(self, bad):
+        u = np.ones(33)
+        u[7] = bad
+        with pytest.raises(QuadratureError):
+            mild_trajectory(0.6, TimeGrid(1.0, 32), np.ones(3), np.ones(3), u)
+
+    def test_memoized_spectrum_is_read_only_and_unchanged(self):
+        grid = TimeGrid(1.0, 64)
+        kernel = spectral._kernel(0.45, grid, 4)
+        before = kernel.spectrum.copy()
+        assert kernel.spectrum.shape == (4, grid.n_steps + 1)
+        with pytest.raises(ValueError):
+            kernel.spectrum[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            kernel.masses[0, 0] = 0.0
+        rng = np.random.default_rng(3)
+        mild_trajectory(0.45, grid, rng.normal(size=4), rng.normal(size=4), rng.normal(size=65))
+        assert spectral._kernel(0.45, grid, 4) is kernel
+        np.testing.assert_array_equal(kernel.spectrum, before)
 
 
 class TestKernelMasses:

@@ -150,18 +150,18 @@ def is_strategic(actuator: Actuator, target: TargetSubspace, tol: float = STRATE
     return {"strategic": len(dead) == 0, "dead_modes": dead}
 
 
-def eec_criterion(gramian: np.ndarray, rhs: np.ndarray, tol: float = 1e-8) -> bool:
+def eec_criterion(gramian, rhs: np.ndarray, tol: float = 1e-8) -> bool:
     """Solvability of the projected steering equation (numerical null-space test).
 
-    ``gramian`` is the quadratic observation form on the annihilator and
-    ``rhs`` the projected free final state (with its sign).  Eigen-directions
-    with |lambda| <= tol * max|lambda| span the Gramian's numerical null space;
-    returns True when rhs has at most tol * |rhs| in it.
+    ``gramian`` is the ``rhum.Gramian`` G = V diag(sigma^2) V^T on the annihilator
+    and ``rhs`` the projected free final state (with its sign).  The columns of V
+    with sigma^2 <= tol * sigma_max^2 span G's numerical null space; returns True
+    when rhs has at most tol * |rhs| in it.
     """
     rhs = np.asarray(rhs, dtype=float)
     nr = float(np.linalg.norm(rhs))
     if nr == 0.0:
         return True
-    lam, vecs = np.linalg.eigh(np.asarray(gramian, dtype=float))
-    null = vecs[:, np.abs(lam) <= tol * np.max(np.abs(lam))]
-    return float(np.linalg.norm(null.T @ rhs)) <= tol * nr
+    _, sigma, Vt = gramian.svd
+    null = Vt[sigma**2 <= tol * sigma[0] ** 2]
+    return float(np.linalg.norm(null @ rhs)) <= tol * nr

@@ -6,7 +6,8 @@ the output directory.  Failure paths map to distinct exit codes:
 
     1  configuration / usage error, an unreadable config or an unusable --out
     2  target unreachable: a dead mode the annihilator needs (synthesis and sweep)
-    3  singular Gramian
+    3  no control reaches G within verify_distance at this grid (the message gives
+       the Gramian's numerical rank); so ``synthesize`` exiting 0 means within_tolerance
     4  quadrature or special-function evaluation failure
 """
 
@@ -83,7 +84,7 @@ def _analysis_payload(config: ProblemConfig, system: SteeringSystem) -> dict:
     return {
         "strategic": not system.dead_modes,
         "dead_modes": system.dead_modes,
-        "eec": eec_criterion(gram.matrix, system.c, config.tolerances.gramian_rank),
+        "eec": eec_criterion(gram, system.c, config.tolerances.gramian_rank),
         "gramian_condition": gram.condition_number(),
         "gramian_min_eigenvalue": gram.min_eigenvalue(),
         "influence": [float(v) for v in system.actuator.influence],
@@ -226,7 +227,7 @@ def main(argv=None) -> int:
         print(f"non-strategic actuator: {exc}", file=sys.stderr)
         return EXIT_NON_STRATEGIC
     except SingularGramianError as exc:
-        print(f"singular Gramian: {exc}", file=sys.stderr)
+        print(f"steering refused: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
     except (QuadratureError, EvaluationError) as exc:
         print(f"quadrature failure: {exc}", file=sys.stderr)

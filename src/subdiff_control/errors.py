@@ -26,7 +26,7 @@ class QuadratureError(SubdiffError, RuntimeError):
 
 
 class SingularGramianError(SubdiffError, RuntimeError):
-    """The controllability Gramian is numerically singular."""
+    """No control reaches G within ``verify_distance``: the Gramian is rank-deficient at this n."""
 
 
 class InfeasibleError(SubdiffError, RuntimeError):

@@ -7,13 +7,13 @@ Letting eps -> 0 recovers the constrained minimum-energy control, which is
 compared row by row against the adjoint-seed synthesis.
 
 Eliminating z reduces both residual forms to one ridge solve,
-(G + eps P^T diag(s) P) phi = c, u = A^T phi / w (``_ridge_solve``), with
-G = A W^-1 A^T: the synthesis solve of ``rhum`` on a shifted Gramian, factored
-with Cholesky as the synthesis factors G.  A maps control node samples to
-annihilator coordinates of the final state, P is the annihilator basis and s_i
-the terminal sensitivity of mode i to its residual.  The forms differ only in
-G, A, c, s and in how z is recovered, so each has one builder of that system
-on the problem's ``rhum.SteeringSystem``, and a sweep builds it once for all eps:
+(A W^-1 A^T + eps L L^T) phi = c, u = A^T phi / w, with L L^T = P^T diag(s) P
+(``_ridge``): one thin SVD of W^-1/2 A^T L^-T = U diag(sigma) V^T makes each eps
+the Tikhonov filter phi = L^-T V diag(1/(sigma^2 + eps)) V^T L^-1 c.  A maps
+control node samples to annihilator coordinates of the final state, P is the
+annihilator basis and s_i the terminal sensitivity of mode i to its residual.
+The forms differ only in A, c, s and in how z is recovered, so each has one
+builder of that system on the problem's ``rhum.SteeringSystem``:
 
 * ``"mild"`` (default): residual = z - (free state + control convolution),
   the defect against the mild-solution simulator.  Before T the trajectory
@@ -41,8 +41,8 @@ from .config import ProblemConfig
 from .errors import DomainError
 from .fractional import _derivative, _kernel_matrix
 from .rhum import (
+    Gramian,
     SteeringSystem,
-    _cholesky_solve,
     control_energy,
     require_reachable,
     solve_rhum,
@@ -105,16 +105,22 @@ class PenalizedSolution:
     residual_norm: float       # weighted L2 norm of the dynamics residual
 
 
-def _ridge_solve(G, A, w, c, P, s, eps: float):
-    """Minimize (1/2) u^T W u + (1/(2 eps)) sum_i t_i^2 / s_i subject to A u + P^T t = c.
+def _ridge(A, w, c, P, s):
+    """``solve(eps)``: minimize (1/2) u^T W u + (1/(2 eps)) sum_i t_i^2 / s_i s.t. A u + P^T t = c.
 
     t_i is the shift of z_i(T) that the residual buys, at least weighted
-    squared residual t_i^2 / s_i.  With G = A W^-1 A^T the shifted Gramian
-    G + eps P^T diag(s) P is SPD for eps > 0.  Returns (u, t, residual_norm).
+    squared residual t_i^2 / s_i.  ``solve`` returns (u, t, residual_norm).
     """
-    phi = _cholesky_solve(G + eps * (P.T * s) @ P, c)
-    t = eps * s * (P @ phi)
-    return (A.T @ phi) / w, t, float(np.sqrt(np.sum(t * t / s)))
+    L_inv = np.linalg.inv(np.linalg.cholesky((P.T * s) @ P))
+    _, sigma, Vt = Gramian((L_inv @ (A / np.sqrt(w))).T).svd
+    d = Vt @ (L_inv @ c)
+
+    def solve(eps: float):
+        phi = L_inv.T @ (Vt.T @ (d / (sigma**2 + eps)))
+        t = eps * s * (P @ phi)
+        return (A.T @ phi) / w, t, float(np.sqrt(np.sum(t * t / s)))
+
+    return solve
 
 
 def _mild_system(config: ProblemConfig, system: SteeringSystem):
@@ -129,7 +135,7 @@ def _mild_system(config: ProblemConfig, system: SteeringSystem):
         z[-1] -= target.project(z[-1])
         return z
 
-    return (system.gramian.matrix, system.A, w, system.c, target.polar_basis, s), recover
+    return (system.A, w, system.c, target.polar_basis, s), recover
 
 
 def _caputo_system(config: ProblemConfig, system: SteeringSystem):
@@ -165,10 +171,10 @@ def _caputo_system(config: ProblemConfig, system: SteeringSystem):
             z[1:, i] = np.linalg.solve(Dr - li * eye, b[i] * u[1:] - m * y0[i] + rho)
         return z
 
-    return ((A / w) @ A.T, A, w, P.T @ (y0 * (L @ m)), P, s), recover
+    return (A, w, P.T @ (y0 * (L @ m)), P, s), recover
 
 
-# Ridge system (G, A, w, c, P, s) of each residual form and its z(u, t) recovery
+# Ridge system (A, w, c, P, s) of each residual form and its z(u, t) recovery
 _BUILDERS = {"mild": _mild_system, "caputo": _caputo_system}
 
 
@@ -178,7 +184,7 @@ def solve_penalized(problem: PenalizedProblem) -> PenalizedSolution:
     system = steering_system(config)
     require_reachable(system)
     ridge, recover = _BUILDERS[problem.residual_form](config, system)
-    u, t, res_norm = _ridge_solve(*ridge, eps)
+    u, t, res_norm = _ridge(*ridge)(eps)
     en = energy(u, system.grid)
     return PenalizedSolution(u, recover(u, t), en + res_norm**2 / (2.0 * eps), en, res_norm)
 
@@ -196,11 +202,11 @@ def epsilon_sweep(
 ) -> list[SweepRow]:
     """Solve the penalized problem along a decreasing eps schedule.
 
-    The form's ridge system is built once, on the synthesis solve's steering
-    system; each eps costs one small Cholesky solve and no trajectory.  Each
-    row reports the full objective and the weighted-L2 distance of the
-    penalized control to the adjoint-seed synthesis control, relative to the
-    latter's norm.
+    The form's ridge system is built and factored once, on the synthesis
+    solve's steering system; each eps costs one diagonal filter and no
+    trajectory.  Each row reports the full objective and the weighted-L2
+    distance of the penalized control to the adjoint-seed synthesis control,
+    relative to the latter's norm.
     """
     eps = [float(e) for e in eps_list]
     if len(eps) == 0:
@@ -211,13 +217,13 @@ def epsilon_sweep(
         raise DomainError(f"eps values must be strictly decreasing, got {eps}")
     _check_form(residual_form)
     ref = solve_rhum(config)
-    ridge, _ = _BUILDERS[residual_form](config, ref.system)
+    solve = _ridge(*_BUILDERS[residual_form](config, ref.system)[0])
     grid, u_ref = ref.system.grid, ref.u_star
     w = grid.weights
     ref_norm = float(np.sqrt(np.dot(w, u_ref * u_ref)))
     rows = []
     for e in eps:
-        u, _, res_norm = _ridge_solve(*ridge, e)
+        u, _, res_norm = solve(e)
         dn = float(np.sqrt(np.dot(w, (u - u_ref) ** 2)))
         rel = dn / ref_norm if ref_norm > 0 else dn
         rows.append(SweepRow(e, energy(u, grid) + res_norm**2 / (2.0 * e), rel, res_norm))

@@ -1,29 +1,27 @@
 """Minimum-energy steering into a target subspace via the adjoint-seed route.
 
-The synthesis seeds an adjoint state from the target's annihilator, forms the
-quadratic observation form (the Gramian) on that annihilator, solves
-
-    Gramian @ phi_hat = -(annihilator coordinates of the free final state),
-
-and reads the steering control off the adjoint observation evaluated at T - t.
-
-Two Gramian routes exist:
+The synthesis seeds an adjoint state from the target's annihilator, solves
+G phi_hat = c with G the quadratic observation form (the Gramian) on that
+annihilator and c = -(annihilator coordinates of the free final state), and
+reads the steering control off the adjoint observation evaluated at T - t.
+G is never formed to solve with: a ``Gramian`` holds a factor B, G = B^T B,
+whose one thin SVD gives the solve, the spectrum and the null space (Hansen,
+*Rank-Deficient and Discrete Ill-Posed Problems*, SIAM 1998).  Two routes:
 
 * ``assemble_gramian`` integrates the continuous observation products
   integral_0^T t^{2(a-1)} E_{a,a}(lambda_i t^a) E_{a,a}(lambda_l t^a) dt
   with a Gauss-Jacobi rule after the substitution v = t^a.  The squared
   kernel is integrable only for a > 1/2; smaller orders raise a typed error.
 * ``discrete_gramian`` works in the discrete control space of the simulator:
-  with H the (annihilator-projected) map from control node samples to the
-  controlled final state and W the trapezoid weight matrix, it forms
-  H W^{-1} H^T.  This is finite for every a in (0,1) and, crucially, is
-  *exactly* consistent with the mild-solution simulator, so the synthesized
-  control verifies to solver precision.  ``solve_rhum`` uses this route.
+  with A the (annihilator-projected) map from control node samples to the
+  controlled final state and W the trapezoid weight matrix, B = W^{-1/2} A^T.
+  This is finite for every a in (0,1) and *exactly* consistent with the
+  mild-solution simulator, so the synthesized control verifies to solver
+  precision.  ``solve_rhum`` uses this route.
 
 ``steering_system`` assembles a problem's system (A, c, Gramian, dead modes;
 w is ``grid.weights``) once; ``require_reachable`` is the one reachability
-rule.  Penalization is this same Cholesky solve on the Gramian shifted by
-eps P^T diag(s) P.
+rule.  Penalization is a Tikhonov filter on a factor of the same kind.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import linalg as sla
 from scipy.special import roots_jacobi
 
 from .actuators import Actuator, TargetSubspace, is_strategic
@@ -82,33 +79,32 @@ def observation(actuator: Actuator, adjoint: AdjointState, t: float) -> float:
 
 @dataclass(frozen=True)
 class Gramian:
-    """Quadratic observation form on the target's annihilator basis."""
+    """Quadratic observation form G = B^T B = V diag(sigma^2) V^T on the annihilator basis."""
 
-    matrix: np.ndarray
+    factor: np.ndarray  # B: a row per control sample or quadrature node
 
     @cached_property
-    def _spectrum(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
+    def svd(self) -> tuple:
+        B = self.factor
+        if B.shape[0] < B.shape[1]:  # zero rows make V square: sigma^2 is all of G's spectrum
+            B = np.vstack([B, np.zeros((B.shape[1] - B.shape[0], B.shape[1]))])
+        return np.linalg.svd(B, full_matrices=False)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return self.factor.T @ self.factor
 
     def min_eigenvalue(self) -> float:
-        if self.matrix.size == 0:
-            return 0.0
-        return float(np.min(self._spectrum))
+        sigma = self.svd[1]
+        return float(sigma[-1] ** 2) if sigma.size else 0.0
 
     def condition_number(self) -> float:
-        if self.matrix.size == 0:
-            return 1.0
-        ev = np.abs(self._spectrum)
-        lo, hi = float(np.min(ev)), float(np.max(ev))
-        return np.inf if lo == 0.0 else hi / lo
+        sigma = self.svd[1]
+        hi, lo = (sigma[0], sigma[-1]) if sigma.size else (1.0, 1.0)
+        return np.inf if lo == 0.0 else float((hi / lo) ** 2)
 
 
-def assemble_gramian(
-    actuator: Actuator,
-    target: TargetSubspace,
-    alpha: float,
-    T: float,
-) -> Gramian:
+def assemble_gramian(actuator: Actuator, target: TargetSubspace, alpha: float, T: float) -> Gramian:
     """Continuous-time Gramian on the annihilator via weighted Gauss quadrature.
 
     Substituting v = t^a turns each entry into
@@ -128,29 +124,22 @@ def assemble_gramian(
     v = (x + 1.0) * half
     emat = mittag_leffler_array(alpha, alpha, np.outer(eigenvalues(actuator.n_modes), v))
     scale = (1.0 / alpha) * half ** (beta + 1.0)
-    cmat = scale * (emat * wq) @ emat.T
     pb = actuator.influence[:, None] * target.polar_basis
-    mat = pb.T @ cmat @ pb
-    mat = 0.5 * (mat + mat.T)
-    if not np.all(np.isfinite(mat)):
+    factor = np.sqrt(scale * wq)[:, None] * (emat.T @ pb)
+    if not np.all(np.isfinite(factor)):
         raise QuadratureError("Gramian quadrature produced non-finite entries")
-    return Gramian(mat)
+    return Gramian(factor)
 
 
-def discrete_gramian(
-    actuator: Actuator, target: TargetSubspace, alpha: float, grid: TimeGrid
-):
+def discrete_gramian(actuator: Actuator, target: TargetSubspace, alpha: float, grid: TimeGrid):
     """Discrete-control-space Gramian consistent with the mild-solution quadrature.
 
     Returns (Gramian, A, w) where A maps control node samples to annihilator
     coordinates of the controlled final state and w = ``grid.weights``.
     """
-    H = terminal_control_map(alpha, grid, actuator.influence)
-    A = target.polar_basis.T @ H
+    A = target.polar_basis.T @ terminal_control_map(alpha, grid, actuator.influence)
     w = grid.weights
-    mat = (A / w) @ A.T
-    mat = 0.5 * (mat + mat.T)
-    return Gramian(mat), A, w
+    return Gramian(A.T / np.sqrt(w)[:, None]), A, w
 
 
 def final_free_state(alpha: float, T: float, y0: np.ndarray) -> SpectralField:
@@ -189,14 +178,6 @@ def require_reachable(system: SteeringSystem) -> None:
         raise NonStrategicError(system.dead_modes)
 
 
-def _cholesky_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve an SPD (shifted) Gramian system; a failed factorization is a singular Gramian."""
-    try:
-        return sla.cho_solve(sla.cho_factor(matrix), rhs)
-    except sla.LinAlgError as exc:
-        raise SingularGramianError(str(exc)) from exc
-
-
 @dataclass(frozen=True)
 class RhumSolution:
     phi0: np.ndarray          # adjoint seed in full mode coordinates (in the annihilator)
@@ -215,7 +196,9 @@ def solve_rhum(config: ProblemConfig) -> RhumSolution:
 
     Minimizes the trapezoid-weighted control energy subject to the terminal
     state landing in the target subspace, which is exactly the adjoint-seed
-    normal-equation solve in the weighted geometry.
+    normal-equation solve in the weighted geometry: u = W^{-1/2} U_k sigma_k^-1 V_k^T c
+    over the k singular values above numpy's rank cut.  Refuses when |A u - c|,
+    the simulated miss up to rounding, exceeds ``tolerances.verify_distance``.
     """
     system = steering_system(config)
     require_reachable(system)
@@ -231,9 +214,17 @@ def solve_rhum(config: ProblemConfig) -> RhumSolution:
             RuntimeWarning,
             stacklevel=2,
         )
-    phi_hat = _cholesky_solve(gram.matrix, c)
-    resid = float(np.linalg.norm(gram.matrix @ phi_hat - c) / np.linalg.norm(c))
-    u_star = (A.T @ phi_hat) / system.grid.weights
+    U, sigma, Vt = gram.svd
+    k = int(np.sum(sigma > np.finfo(float).eps * max(U.shape) * sigma[0]))
+    coef = (Vt[:k] @ c) / sigma[:k]
+    u_star = (U[: A.shape[1], :k] @ coef) / np.sqrt(system.grid.weights)
+    miss, vd = float(np.linalg.norm(A @ u_star - c)), config.tolerances.verify_distance
+    if not miss <= vd:
+        raise SingularGramianError(
+            f"the Gramian has numerical rank {k} of {c.size} at n_steps={config.n_steps}; "
+            f"its least-norm control misses G by {miss:.3e} > verify_distance={vd:.1e}")
+    phi_hat = Vt[:k].T @ (coef / sigma[:k])
+    resid = miss / float(np.linalg.norm(c))  # = |G phi_hat - c| / |c|
     return RhumSolution(system.target.polar_basis @ phi_hat, phi_hat, u_star, resid, system)
 
 

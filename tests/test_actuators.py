@@ -17,6 +17,7 @@ from subdiff_control.actuators import (
     make_zone,
 )
 from subdiff_control.errors import DomainError
+from subdiff_control.rhum import Gramian
 from subdiff_control.spectral import SQRT2, eigenfunction
 
 
@@ -208,13 +209,14 @@ class TestEecCriterion:
     def test_definite_gramian_always_solvable(self):
         rng = np.random.default_rng(7)
         m = rng.normal(size=(4, 4))
-        gram = m @ m.T + 0.1 * np.eye(4)
+        # G = B^T B = m m^T + 0.1 I
+        gram = Gramian(np.vstack([m.T, math.sqrt(0.1) * np.eye(4)]))
         assert eec_criterion(gram, rng.normal(size=4)) is True
 
     def test_zero_rhs_trivially_solvable(self):
-        assert eec_criterion(np.zeros((3, 3)), np.zeros(3)) is True
+        assert eec_criterion(Gramian(np.zeros((3, 3))), np.zeros(3)) is True
 
     def test_rank_deficient_gramian_detects_unreachable_rhs(self):
-        gram = np.diag([1.0, 1.0, 0.0])
+        gram = Gramian(np.diag([1.0, 1.0, 0.0]))  # G = diag(1, 1, 0)
         assert eec_criterion(gram, np.array([1.0, 2.0, 0.0])) is True
         assert eec_criterion(gram, np.array([1.0, 2.0, 0.5])) is False

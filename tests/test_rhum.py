@@ -1,6 +1,7 @@
 """Tests for the adjoint-seed synthesis of minimum-energy steering controls."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,10 +14,10 @@ from subdiff_control.errors import (
     NonStrategicError,
     QuadratureError,
     SingularGramianError,
+    SubdiffError,
 )
 from subdiff_control.rhum import (
     AdjointState,
-    _cholesky_solve,
     assemble_gramian,
     control_energy,
     discrete_gramian,
@@ -250,9 +251,41 @@ class TestSolve:
         assert sol.condition_number > 1e12
         assert verify_transfer(cfg, sol.u_star).distance_to_G <= 1e-8
 
-    def test_indefinite_matrix_is_a_singular_gramian(self):
-        with pytest.raises(SingularGramianError):
-            _cholesky_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
+    @pytest.mark.filterwarnings("ignore:Gramian condition number")
+    def test_rank_deficient_gramian_refuses_with_its_rank(self):
+        # Exact steering at alpha ~ 0.14: W^-1/2 A^T has numerical rank 5 of
+        # 10 on this grid and the least-norm control misses G by ~6e-4.
+        cfg = ProblemConfig(
+            alpha=0.137309,
+            T=1.0,
+            n_modes=10,
+            n_steps=512,
+            y0=(1.0, 0.464138, -0.26064, -0.123789, -0.169826, -0.139392,
+                0.0766, 0.077662, 0.091744, -0.048108),
+            actuator={"kind": "zone", "a": 0.4963, "b": 0.629},
+            target_modes=(),
+        )
+        with pytest.raises(SingularGramianError, match=r"rank 5 of 10 at n_steps=512"):
+            solve_rhum(cfg)
+
+    @pytest.mark.filterwarnings("ignore:Gramian condition number")
+    @pytest.mark.parametrize(
+        "alpha,n_modes,n_steps", [(0.9, 12, 256), (0.4, 6, 256), (0.4, 6, 1024), (0.9, 16, 1024)]
+    )
+    def test_exact_steering_past_a_failed_cholesky(self, alpha, n_modes, n_steps):
+        # Gramians that rounding makes indefinite once formed; the SVD of
+        # their factor still steers exactly.
+        cfg = ProblemConfig(
+            alpha=alpha,
+            T=1.0,
+            n_modes=n_modes,
+            n_steps=n_steps,
+            y0=(1.0,) + (0.0,) * (n_modes - 1),
+            actuator={"kind": "zone", "a": 0.21, "b": 0.5},
+            target_modes=(),
+        )
+        sol = solve_rhum(cfg)
+        assert verify_transfer(cfg, sol.u_star).distance_to_G <= cfg.tolerances.verify_distance
 
     def test_minimum_energy_among_feasible_controls(self):
         # Any other control with the same annihilator image costs more energy.
@@ -273,6 +306,46 @@ class TestSolve:
             assert np.max(np.abs(A @ v)) <= 1e-10
             other = control_energy(sol.u_star + v, cfg.grid())
             assert other >= base_energy - 1e-12
+
+
+def _random_config(rng):
+    """A valid config: alpha in [0.05, 0.98], T log-uniform in [1e-2, 1e2]."""
+    n_modes = int(rng.integers(1, 16))
+    k = int(rng.integers(0, n_modes + 1))
+    targets = sorted(rng.choice(np.arange(1, n_modes + 1), size=k, replace=False).tolist())
+    if rng.random() < 0.5:
+        a = float(rng.uniform(0.0, 0.9))
+        actuator = {"kind": "zone", "a": a, "b": float(rng.uniform(a + 0.05, 1.0))}
+    else:
+        actuator = {"kind": "pointwise", "b": float(rng.uniform(0.01, 0.99))}
+    return ProblemConfig(
+        alpha=float(rng.uniform(0.05, 0.98)),
+        T=float(10.0 ** rng.uniform(-2.0, 2.0)),
+        n_modes=n_modes,
+        n_steps=int(rng.integers(3, 1001)),
+        y0=tuple(rng.normal(size=n_modes)),
+        actuator=actuator,
+        target_modes=tuple(targets),
+    )
+
+
+def test_returned_controls_land_within_verify_distance():
+    # Over the validator's domain, the synthesis either refuses with a typed
+    # error or returns a control whose simulated miss is within tolerance.
+    rng = np.random.default_rng(20261019)
+    returned = 0
+    for _ in range(200):
+        cfg = _random_config(rng)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                sol = solve_rhum(cfg)
+        except SubdiffError:
+            continue
+        returned += 1
+        miss = verify_transfer(cfg, sol.u_star).distance_to_G
+        assert miss <= cfg.tolerances.verify_distance, cfg
+    assert returned >= 100
 
 
 class TestEnergy:

@@ -102,8 +102,10 @@ class TargetSubspace:
 def make_target(selected, n_modes: int) -> TargetSubspace:
     """Build G from a list of 1-based mode indices or an explicit basis matrix.
 
-    An empty list gives G = {0} (projector = identity: exact steering to 0);
-    the full index list gives the whole space (projector = 0).
+    The annihilator is the complementary identity columns, in ascending mode
+    order, or the trailing columns of the basis matrix's complete QR.  An empty
+    list gives G = {0} (projector = identity: exact steering to 0); the full
+    index list gives the whole space (projector = 0).
     """
     if isinstance(selected, np.ndarray) and selected.ndim == 2:
         mat = np.asarray(selected, dtype=float)
@@ -111,26 +113,20 @@ def make_target(selected, n_modes: int) -> TargetSubspace:
             raise DomainError(
                 f"basis matrix must have {n_modes} rows, got {mat.shape[0]}"
             )
-        if mat.shape[1] > 0 and np.linalg.matrix_rank(mat, tol=1e-10) < mat.shape[1]:
+        if np.linalg.matrix_rank(mat, tol=1e-10) < mat.shape[1]:
             raise DomainError("basis matrix columns are linearly dependent")
-        q, _ = np.linalg.qr(mat) if mat.shape[1] > 0 else (np.zeros((n_modes, 0)), None)
-        basis = q[:, : mat.shape[1]]
+        q, _ = np.linalg.qr(mat, mode="complete")
+        basis, polar = q[:, : mat.shape[1]], q[:, mat.shape[1]:]
     else:
         idx = sorted(int(i) for i in selected)
         if any(i < 1 or i > n_modes for i in idx):
             raise DomainError(f"mode indices must lie in 1..{n_modes}, got {idx}")
         if len(set(idx)) != len(idx):
             raise DomainError(f"duplicate mode indices in {idx}")
-        basis = np.zeros((n_modes, len(idx)))
-        for col, i in enumerate(idx):
-            basis[i - 1, col] = 1.0
-    # Annihilator = orthogonal complement of the (orthonormalized) basis.
-    full = np.eye(n_modes)
-    resid = full - basis @ (basis.T @ full)
-    u, s, _ = np.linalg.svd(resid)
-    polar = u[:, : n_modes - basis.shape[1]]
-    projector = polar @ polar.T
-    return TargetSubspace(basis, polar, projector)
+        full = np.eye(n_modes)
+        basis = full[:, [i - 1 for i in idx]]
+        polar = full[:, [i for i in range(n_modes) if i + 1 not in idx]]
+    return TargetSubspace(basis, polar, polar @ polar.T)
 
 
 def dead_modes(actuator: Actuator, target: TargetSubspace, tol: float = STRATEGIC_TOL):

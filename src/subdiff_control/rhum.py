@@ -39,7 +39,7 @@ from .errors import DomainError, NonStrategicError, QuadratureError, SingularGra
 from .spectral import (
     SpectralField,
     TimeGrid,
-    _table,
+    _modes,
     apply_K,
     apply_R,
     eigenvalues,
@@ -98,10 +98,17 @@ class Gramian:
         sigma = self.svd[1]
         return float(sigma[-1] ** 2) if sigma.size else 0.0
 
+    @cached_property
+    def rank(self) -> int:
+        """Number of singular values above numpy's rank cut, eps * max(B.shape) * sigma_max."""
+        sigma = self.svd[1]
+        return int(np.sum(sigma > np.finfo(float).eps * max(self.factor.shape) * sigma[:1]))
+
     def condition_number(self) -> float:
+        """(sigma_max / sigma_min)^2, or inf where sigma_min is below the rank cut."""
         sigma = self.svd[1]
         hi, lo = (sigma[0], sigma[-1]) if sigma.size else (1.0, 1.0)
-        return np.inf if lo == 0.0 else float((hi / lo) ** 2)
+        return np.inf if self.rank < sigma.size else float((hi / lo) ** 2)
 
 
 def assemble_gramian(actuator: Actuator, target: TargetSubspace, alpha: float, T: float) -> Gramian:
@@ -166,7 +173,7 @@ def steering_system(config: ProblemConfig) -> SteeringSystem:
     target = config.build_target()
     grid = config.grid()
     gram, A, _ = discrete_gramian(actuator, target, config.alpha, grid)
-    free_T = _table(config.alpha, grid, config.n_modes)[:, -1] * config.y0_array()
+    free_T = _modes(config.alpha, grid, config.n_modes).factors[:, -1] * config.y0_array()
     dead = is_strategic(actuator, target, config.tolerances.gramian_rank)["dead_modes"]
     c = -(target.polar_basis.T @ free_T)
     return SteeringSystem(actuator, target, grid, gram, A, c, dead)
@@ -215,7 +222,7 @@ def solve_rhum(config: ProblemConfig) -> RhumSolution:
             stacklevel=2,
         )
     U, sigma, Vt = gram.svd
-    k = int(np.sum(sigma > np.finfo(float).eps * max(U.shape) * sigma[0]))
+    k = gram.rank
     coef = (Vt[:k] @ c) / sigma[:k]
     u_star = (U[: A.shape[1], :k] @ coef) / np.sqrt(system.grid.weights)
     miss, vd = float(np.linalg.norm(A @ u_star - c)), config.tolerances.verify_distance

@@ -28,7 +28,6 @@ integral (Ann. Probab. 3 (1975) 697-707): one quadrature, certified or Evaluatio
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 from scipy import special as sp
@@ -163,7 +162,6 @@ def _ml_asymptotic_pos(p: float, q: float, z: float, x: float) -> float:
     return lead + (alg if alg is not None else 0.0)
 
 
-@lru_cache(maxsize=1 << 20)
 def mittag_leffler(p: float, q: float, z: float) -> float:
     """Two-parameter Mittag-Leffler function E_{p,q}(z) for real z.
 

@@ -12,9 +12,10 @@ per mode with a product quadrature: the full weighted kernel
 step through its closed-form antiderivative, so only the control is frozen at
 the step midpoint (average of the adjacent node samples).  The quadrature is a
 discrete convolution of the kernel masses with the midpoint control, evaluated
-for all modes at once as one real-FFT product of length 2 n_steps; the masses
-and their spectrum are memoized with the node table, so a warm simulation is
-one forward and one batched inverse transform.
+for all modes at once as one real-FFT product of length 2 n_steps.  None of
+this depends on the actuator: ``_modes`` memoizes one ``_ModeTable`` per
+(a, grid, N) with the node table, the masses, their spectrum and the
+unit-influence terminal map, so a warm simulation is two transforms.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .special import mittag_leffler_array
 
 SQRT2 = math.sqrt(2.0)
 
-# Node tables kept by ``_table``, and kernel records by ``_kernel``: one each per (a, grid, N).
+# Mode tables kept by ``_modes``: one per (a, grid, N).
 TABLE_CACHE_SIZE = 8
 
 
@@ -136,7 +137,7 @@ def propagator_factors(alpha: float, grid: TimeGrid, n_modes: int) -> np.ndarray
     """E_{a,1}(lambda_i * t_k^a) at the grid nodes; shape (N, n_steps+1), read-only.
 
     This is the only place the node table is evaluated.  Consumers read it
-    through ``_table``, which memoizes it, so a warm problem builds nothing.
+    as ``_modes(...).factors``, which memoizes it, so a warm problem builds nothing.
     """
     _check_alpha(alpha)
     # t^a by libm pow per node, as scalar callers form it (numpy's vectorized pow can
@@ -148,26 +149,25 @@ def propagator_factors(alpha: float, grid: TimeGrid, n_modes: int) -> np.ndarray
     return out
 
 
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _table(alpha: float, grid: TimeGrid, n_modes: int) -> np.ndarray:
-    return propagator_factors(alpha, grid, n_modes)
-
-
 @dataclass(frozen=True)
-class _Kernel:
-    """The kernel masses of one node table and their spectrum, both read-only."""
+class _ModeTable:
+    """What one (a, grid, N) fixes for every actuator; all four arrays are read-only."""
 
+    factors: np.ndarray   # (N, n_steps+1), see ``propagator_factors``
     masses: np.ndarray    # (N, n_steps), see ``kernel_step_integrals``
     spectrum: np.ndarray  # (N, n_steps+1): rfft of the masses at length 2 n_steps
+    terminal: np.ndarray  # (N, n_steps+1): ``terminal_control_map`` at unit influence
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _kernel(alpha: float, grid: TimeGrid, n_modes: int) -> _Kernel:
-    masses = np.diff(_table(alpha, grid, n_modes), axis=1) / eigenvalues(n_modes)[:, None]
+def _modes(alpha: float, grid: TimeGrid, n_modes: int) -> _ModeTable:
+    factors = propagator_factors(alpha, grid, n_modes)
+    masses = np.diff(factors, axis=1) / eigenvalues(n_modes)[:, None]
     spectrum = np.fft.rfft(masses, n=2 * grid.n_steps, axis=1)
-    masses.setflags(write=False)
-    spectrum.setflags(write=False)
-    return _Kernel(masses, spectrum)
+    terminal = _trapezoid_split(masses[:, ::-1])  # step j, looking back from T, has mass n-1-j
+    for arr in (masses, spectrum, terminal):
+        arr.setflags(write=False)
+    return _ModeTable(factors, masses, spectrum, terminal)
 
 
 def kernel_step_integrals(alpha: float, grid: TimeGrid, n_modes: int) -> np.ndarray:
@@ -178,7 +178,7 @@ def kernel_step_integrals(alpha: float, grid: TimeGrid, n_modes: int) -> np.ndar
     (d/dt E_{a,1}(lambda t^a) = lambda t^(a-1) E_{a,a}(lambda t^a)), so the
     singular corner costs no quadrature error at all.
     """
-    return _kernel(alpha, grid, n_modes).masses
+    return _modes(alpha, grid, n_modes).masses
 
 
 def mild_trajectory(
@@ -206,9 +206,10 @@ def mild_trajectory(
     n_modes = y0.size
     traj = np.empty((n + 1, n_modes))
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite u is the error below
+        table = _modes(alpha, grid, n_modes)
         u_hat = np.fft.rfft(0.5 * (u[:-1] + u[1:]), n=2 * n)
-        conv = np.fft.irfft(_kernel(alpha, grid, n_modes).spectrum * u_hat, n=2 * n, axis=1)
-        traj[:] = _table(alpha, grid, n_modes).T * y0
+        conv = np.fft.irfft(table.spectrum * u_hat, n=2 * n, axis=1)
+        traj[:] = table.factors.T * y0
         traj[1:] += conv[:, :n].T * influence
     if not np.all(np.isfinite(traj)):
         raise QuadratureError("mild-solution convolution produced non-finite values")
@@ -217,11 +218,8 @@ def mild_trajectory(
 
 def terminal_control_map(alpha: float, grid: TimeGrid, influence: np.ndarray) -> np.ndarray:
     """Matrix H with y_controlled(T) = H @ u_nodes; shape (N, n_steps+1)."""
-    _check_alpha(alpha)
     influence = np.asarray(influence, dtype=float)
-    # kernel mass of step j, looking back from T, is g[:, n-1-j]
-    wm = kernel_step_integrals(alpha, grid, influence.size)[:, ::-1] * influence[:, None]
-    return _trapezoid_split(wm)
+    return _modes(alpha, grid, influence.size).terminal * influence[:, None]
 
 
 def convolution_matrix(alpha: float, grid: TimeGrid, lam_i: float) -> np.ndarray:

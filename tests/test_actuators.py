@@ -108,6 +108,8 @@ class TestTargetSubspace:
         # projector annihilates G and fixes the annihilator
         assert np.max(np.abs(P @ tgt.basis)) <= 1e-13
         assert np.allclose(P @ tgt.polar_basis, tgt.polar_basis, atol=1e-13)
+        # the annihilator of a coordinate subspace is the complementary coordinates, in order
+        np.testing.assert_array_equal(make_target([2, 3], 5).polar_basis, np.eye(5)[:, [0, 3, 4]])
 
     def test_projection_picks_out_complement(self):
         tgt = make_target([2, 3, 4, 5], 5)

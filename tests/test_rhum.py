@@ -1,5 +1,6 @@
 """Tests for the adjoint-seed synthesis of minimum-energy steering controls."""
 
+import functools
 import math
 import warnings
 
@@ -24,6 +25,7 @@ from subdiff_control.rhum import (
     final_free_state,
     observation,
     solve_rhum,
+    steering_system,
     verify_transfer,
 )
 from subdiff_control.spectral import TimeGrid, eigenvalues
@@ -93,11 +95,13 @@ class TestContinuousGramian:
         # column r of the annihilator basis is +/- a coordinate vector; map it
         # back to its mode index so the Gramian entries line up with the oracle
         col_mode = [int(np.argmax(np.abs(tgt.polar_basis[:, r]))) for r in range(2)]
+        # quad's (i, l) and (l, i) integrands evaluate the same arguments
+        ml = functools.lru_cache(maxsize=None)(mittag_leffler)
         for r, i in enumerate(col_mode):
             for s, l in enumerate(col_mode):
                 val, _ = quad(
-                    lambda t: mittag_leffler(alpha, alpha, lam[i] * t**alpha)
-                    * mittag_leffler(alpha, alpha, lam[l] * t**alpha),
+                    lambda t: ml(alpha, alpha, lam[i] * t**alpha)
+                    * ml(alpha, alpha, lam[l] * t**alpha),
                     0.0,
                     T,
                     weight="alg",
@@ -267,6 +271,9 @@ class TestSolve:
         )
         with pytest.raises(SingularGramianError, match=r"rank 5 of 10 at n_steps=512"):
             solve_rhum(cfg)
+        # sigma_min is below the rank cut, so the condition number is not resolved
+        gram = steering_system(cfg).gramian
+        assert gram.rank == 5 and gram.condition_number() == math.inf
 
     @pytest.mark.filterwarnings("ignore:Gramian condition number")
     @pytest.mark.parametrize(
@@ -286,6 +293,7 @@ class TestSolve:
         )
         sol = solve_rhum(cfg)
         assert verify_transfer(cfg, sol.u_star).distance_to_G <= cfg.tolerances.verify_distance
+        assert (sol.condition_number == math.inf) == (sol.system.gramian.rank < n_modes)
 
     def test_minimum_energy_among_feasible_controls(self):
         # Any other control with the same annihilator image costs more energy.

@@ -1,5 +1,6 @@
 """Tests for the eigenmode solution operators and the mild solution."""
 
+import functools
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from subdiff_control.spectral import (
     kernel_step_integrals,
     mild_trajectory,
     propagator_factors,
+    terminal_control_map,
 )
 from subdiff_control.special import mittag_leffler
 
@@ -160,11 +162,12 @@ class TestMildSolution:
         b = np.array([1.3])
         lam = eigenvalues(1)[0]
         traj = mild_trajectory(alpha, grid, np.zeros(1), b, np.ones(257))
+        ml = functools.lru_cache(maxsize=None)(mittag_leffler)  # both integrals share [0, 0.25]
         for t in (0.25, 1.0):
             # integrand already substituted to run from the singular end:
             # integral_0^t s^(a-1) E_{a,a}(lambda s^a) ds
             val, _ = quad(
-                lambda s: mittag_leffler(alpha, alpha, lam * s**alpha),
+                lambda s: ml(alpha, alpha, lam * s**alpha),
                 0.0,
                 t,
                 weight="alg",
@@ -276,17 +279,17 @@ class TestFFTSimulator:
 
     def test_memoized_spectrum_is_read_only_and_unchanged(self):
         grid = TimeGrid(1.0, 64)
-        kernel = spectral._kernel(0.45, grid, 4)
-        before = kernel.spectrum.copy()
-        assert kernel.spectrum.shape == (4, grid.n_steps + 1)
-        with pytest.raises(ValueError):
-            kernel.spectrum[0, 0] = 0.0
-        with pytest.raises(ValueError):
-            kernel.masses[0, 0] = 0.0
+        modes = spectral._modes(0.45, grid, 4)
+        before = modes.spectrum.copy()
+        assert modes.spectrum.shape == (4, grid.n_steps + 1)
+        for arr in (modes.factors, modes.masses, modes.spectrum, modes.terminal):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.0
         rng = np.random.default_rng(3)
         mild_trajectory(0.45, grid, rng.normal(size=4), rng.normal(size=4), rng.normal(size=65))
-        assert spectral._kernel(0.45, grid, 4) is kernel
-        np.testing.assert_array_equal(kernel.spectrum, before)
+        terminal_control_map(0.45, grid, rng.normal(size=4))
+        assert spectral._modes(0.45, grid, 4) is modes
+        np.testing.assert_array_equal(modes.spectrum, before)
 
 
 class TestKernelMasses:
@@ -304,10 +307,11 @@ class TestKernelMasses:
     def test_first_middle_and_last_step(self, alpha):
         grid = TimeGrid(1.0, 1024)
         g = kernel_step_integrals(alpha, grid, 8)
+        ml = functools.lru_cache(maxsize=None)(mittag_leffler)  # quad repeats about 1 in 5 nodes
         for i, lam in enumerate(eigenvalues(8)):
             for m in (0, grid.n_steps // 2, grid.n_steps - 1):
                 lo, hi = grid.nodes[m] ** alpha, grid.nodes[m + 1] ** alpha
-                mass = quad(lambda v: mittag_leffler(alpha, alpha, lam * v), lo, hi,
+                mass = quad(lambda v: ml(alpha, alpha, lam * v), lo, hi,
                             epsabs=0.0, epsrel=1e-11, limit=100)[0] / alpha
                 assert g[i, m] == pytest.approx(mass, rel=1e-10, abs=0.0), (i, m)
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from .errors import DomainError
 from .special import gamma_fn
@@ -93,11 +92,17 @@ def _kernel_convolve(values: np.ndarray, h: float, gamma: float) -> np.ndarray:
     return out
 
 
+def _lower_toeplitz(col: np.ndarray, m: int) -> np.ndarray:
+    """T[i, j] = col[i - j] for i >= j and 0 above the diagonal; shape (col.size, m)."""
+    padded = np.concatenate([col[::-1], np.zeros(m - 1)])
+    return np.lib.stride_tricks.sliding_window_view(padded, m)[::-1].copy()
+
+
 def _kernel_matrix(n: int, h: float, gamma: float) -> np.ndarray:
     """Matrix M with M @ values = _kernel_convolve(values, h, gamma) for n samples."""
     w_left, w_right = _kernel_weights(n, h, gamma)
-    mat = sla.toeplitz(np.concatenate([[0.0], w_left]), np.zeros(n))
-    mat[1:, 1:] += sla.toeplitz(w_right, np.zeros(n - 1))
+    mat = _lower_toeplitz(np.concatenate([[0.0], w_left]), n)
+    mat[1:, 1:] += _lower_toeplitz(w_right, n - 1)
     return mat
 
 

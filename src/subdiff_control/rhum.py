@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .actuators import Actuator, TargetSubspace, is_strategic
 from .config import ProblemConfig
@@ -125,6 +124,8 @@ def assemble_gramian(actuator: Actuator, target: TargetSubspace, alpha: float, T
             f"squared observation kernel t^(2a-2) is not integrable at 0 for "
             f"a = {alpha} <= 1/2; use the discrete-control-space Gramian"
         )
+    from scipy.special import roots_jacobi  # here, not at the top: no CLI command assembles this
+
     beta = (alpha - 1.0) / alpha
     x, wq = roots_jacobi(GRAMIAN_QUAD_N, 0.0, beta)
     half = T**alpha / 2.0

@@ -23,6 +23,8 @@ certificate, to the scalar :func:`mittag_leffler`, which has three regimes:
 
 The stable density psi_alpha and the kernel phi_alpha come from Kanter's positive
 integral (Ann. Probab. 3 (1975) 697-707): one quadrature, certified or EvaluationError.
+Gamma and the contour kernel need only math and numpy; scipy.special (z = 0, the algebraic
+expansion), mpmath (the series) and scipy.integrate (Kanter) are imported on first use.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import DomainError, EvaluationError, PoleError
 
@@ -54,11 +55,22 @@ _CONTOUR_RTOL = 1e-10  # the passes must agree, and the rounding estimate hold, 
 
 
 def gamma_fn(x: float) -> float:
-    """Euler's gamma function for real x away from the poles."""
+    """Euler's gamma function for real x away from the poles; +-inf where it overflows."""
     x = float(x)
     if x <= 0 and x == math.floor(x):
         raise PoleError(f"gamma function has a pole at {x}")
-    return float(sp.gamma(x))
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _rgamma(x: float) -> float:
+    """1/Gamma(x) for real x: 0 at the poles and where Gamma overflows."""
+    if abs(x) < 1e-300:  # 1/Gamma(x) = x (1 + O(x)), while Gamma(x) itself may overflow
+        return x
+    g = math.inf if x <= 0 and x == math.floor(x) else gamma_fn(x)
+    return 1.0 / g if g else math.copysign(math.inf, g)
 
 
 def _ml_series(p: float, q: float, z: float, x: float) -> float:
@@ -127,6 +139,8 @@ def _ml_asymptotic_neg(p: float, q: float, z: float):
     |z|^{-k} Gamma(pk-q+1)/pi from the reflection formula, not by the raw
     term magnitudes.
     """
+    from scipy import special as sp  # here, not at the top: only scalar fallbacks reach it
+
     kmax = 400
     k = np.arange(1, kmax + 1)
     log_abs_z = math.log(abs(z))
@@ -171,8 +185,9 @@ def mittag_leffler(p: float, q: float, z: float) -> float:
     p, q, z = float(p), float(q), float(z)
     if not (0.0 < p < math.inf and math.isfinite(q) and math.isfinite(z)):
         raise DomainError(f"Mittag-Leffler needs finite q, z and p > 0, got p={p}, q={q}, z={z}")
-    if z == 0.0:
-        return float(sp.rgamma(q))
+    if z == 0.0:  # the pipeline never asks for z = 0, so scipy is imported here, not at the top
+        from scipy.special import rgamma
+        return float(rgamma(q))
     try:
         x = abs(z) ** (1.0 / p)
     except OverflowError:  # beyond the double range: every branch reads x = inf correctly
@@ -230,7 +245,7 @@ def _ml_contour(p: float, q: float, z: np.ndarray, h: float,
     val[near], err[near] = _contour_sum(num, s_p, 1.0, z[near])
     w = 1.0 / z[far]
     t, t_err = _contour_sum(num * s_p, s_p, w, 1.0)
-    val[far] = (w * t - float(sp.rgamma(q - p))) * w
+    val[far] = (w * t - _rgamma(q - p)) * w
     err[far] = t_err * w * w
     return val, err * np.finfo(float).eps
 
@@ -274,7 +289,7 @@ def _kanter(alpha: float, log_c: float, k: float) -> float:
     The integral runs over s = log(pi - u), where sin u keeps its digits near pi, split at
     the peak (c A = 1, or u = 0 if c A(0) >= 1); c^k and the peak stay in the exponent.
     """
-    from scipy.integrate import quad  # here, not at the top: it costs ~0.3 s of import
+    from scipy.integrate import quad  # here, not at the top: no pipeline path reaches psi or phi
 
     b = 1.0 - alpha
     log_pi = math.log(math.pi)

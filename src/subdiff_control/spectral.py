@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import linalg as sla
 
 from .errors import DomainError, QuadratureError
+from .fractional import _lower_toeplitz
 from .special import mittag_leffler_array
 
 SQRT2 = math.sqrt(2.0)
@@ -233,4 +233,4 @@ def convolution_matrix(alpha: float, grid: TimeGrid, lam_i: float) -> np.ndarray
         raise DomainError(f"{lam_i} is not an eigenvalue -(i pi)^2 of the model")
     g = kernel_step_integrals(alpha, grid, mode)[-1]
     # step j of node k carries g[k-1-j], shared by the samples j and j+1
-    return _trapezoid_split(sla.toeplitz(np.concatenate([[0.0], g]), np.zeros(grid.n_steps)))
+    return _trapezoid_split(_lower_toeplitz(np.concatenate([[0.0], g]), grid.n_steps))

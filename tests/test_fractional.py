@@ -14,6 +14,7 @@ from subdiff_control.fractional import (
     _kernel_convolve,
     _kernel_matrix,
     _kernel_weights,
+    _lower_toeplitz,
     caputo_left,
     reflect,
     rl_deriv_left,
@@ -139,6 +140,13 @@ class TestKernelQuadrature:
         assert np.allclose(_kernel_convolve(values, h, gamma), loop, rtol=1e-13, atol=0.0)
         matrix = _kernel_matrix(values.size, h, gamma)
         assert np.allclose(matrix @ values, loop, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("rows", [9, 10])
+    def test_lower_toeplitz_matches_scipy(self, rows):
+        from scipy.linalg import toeplitz
+
+        col = np.random.default_rng(rows).standard_normal(rows)
+        np.testing.assert_array_equal(_lower_toeplitz(col, 9), toeplitz(col, np.zeros(9)))
 
 
 class TestRLIntegral:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import erf, gammaln, kv, rgamma
+from scipy.special import erf, gamma, gammaln, kv, rgamma
 
 from subdiff_control import special
 from subdiff_control.errors import DomainError, EvaluationError, PoleError
@@ -74,6 +74,27 @@ class TestGamma:
         with mp.workdps(40):
             for x in np.linspace(0.1, 50.0, 61):
                 assert gamma_fn(x) == pytest.approx(float(mp.gamma(x)), rel=1e-13)
+
+    def test_math_gamma_matches_scipy(self):
+        xs = np.linspace(-29.99, 169.99, 2001)  # steps of 0.1, clear of the poles
+        for ours, oracle in ((gamma_fn, gamma), (special._rgamma, rgamma)):
+            got = np.array([ours(x) for x in xs.tolist()])
+            np.testing.assert_allclose(got, oracle(xs), rtol=4e-15, atol=0.0)
+
+    def test_limits_match_scipy(self):
+        for x in (171.7, 200.0, 1e-320, -1e-320):
+            assert gamma_fn(x) == gamma(x)  # inf, inf, inf, -inf
+        for x in (171.7, 200.0, 1e-320):
+            assert special._rgamma(x) == rgamma(x)  # 0, 0, 1e-320
+        # 1/Gamma(x) = x (1 + O(x)) rounds to x itself; scipy flushes this one to -0.0
+        assert special._rgamma(-1e-320) == -1e-320
+        assert abs(rgamma(-1e-320) - -1e-320) <= 1e-320
+
+    @pytest.mark.parametrize("x", [0.0, -3.0])
+    def test_rgamma_vanishes_at_poles(self, x):
+        with pytest.raises(PoleError):
+            gamma_fn(x)
+        assert special._rgamma(x) == rgamma(x) == 0.0
 
 
 class TestMittagLeffler:
@@ -443,25 +464,23 @@ class TestKanterOracles:
                     assert math.isfinite(v) and v >= 0.0
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    # quad is imported where the density needs it, so a CLI start does not pay for it
-    code = "import subdiff_control.cli, sys; assert 'scipy.integrate' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], check=True)
-
-
-def test_synthesize_leaves_mpmath_unloaded(tmp_path):
-    # the README config certifies every table value on the contour, so the scalar
-    # series, and with it mpmath, is never imported
+def test_cli_run_loads_neither_scipy_nor_mpmath(tmp_path):
+    # gamma is math.gamma, the Toeplitz maps are numpy, and the zone example's config
+    # (scripts/run_zone_example.py) certifies every table value on the contour, so a
+    # synthesize and a verify reach neither the scalar series nor any scipy path
     cfg = {"alpha": 0.4, "T": 1.0, "n_modes": 5, "n_steps": 256, "y0": [1.0, 0.0, 0.0, 0.0, 0.0],
-           "actuator": {"kind": "zone", "a": 0.2, "b": 0.5}, "target_modes": [2, 3, 4, 5]}
-    cfg_path = tmp_path / "problem.json"
+           "actuator": {"kind": "zone", "a": 0.2, "b": 0.5}, "target_modes": [2, 3, 4, 5],
+           "tolerances": {"gramian_rank": 1e-10, "verify_distance": 1e-4}}
+    cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     code = (
         "import sys\n"
         "from subdiff_control import cli\n"
-        f"code = cli.main(['synthesize', '--config', {str(cfg_path)!r}, '--out', {str(tmp_path)!r}])\n"
-        "assert code == 0, code\n"
-        "assert 'mpmath' not in sys.modules\n"
+        "for command in ('synthesize', 'verify'):\n"
+        f"    code = cli.main([command, '--config', {str(cfg_path)!r}, '--out', {str(tmp_path)!r}])\n"
+        "    assert code == 0, (command, code)\n"
+        "loaded = sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'mpmath'})\n"
+        "assert not loaded, loaded\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_package_env())

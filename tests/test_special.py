@@ -464,6 +464,35 @@ class TestKanterOracles:
                     assert math.isfinite(v) and v >= 0.0
 
 
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # no scipy module, quad's included, is imported until a path needs it
+    code = ("import subdiff_control.cli, sys\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert 'scipy.integrate' not in loaded and not loaded, loaded\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_package_env())
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_synthesize_leaves_mpmath_unloaded(tmp_path):
+    # the README config certifies every table value on the contour, so the scalar
+    # series, and with it mpmath, is never imported
+    cfg = {"alpha": 0.4, "T": 1.0, "n_modes": 5, "n_steps": 256, "y0": [1.0, 0.0, 0.0, 0.0, 0.0],
+           "actuator": {"kind": "zone", "a": 0.2, "b": 0.5}, "target_modes": [2, 3, 4, 5]}
+    cfg_path = tmp_path / "problem.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    code = (
+        "import sys\n"
+        "from subdiff_control import cli\n"
+        f"code = cli.main(['synthesize', '--config', {str(cfg_path)!r}, '--out', {str(tmp_path)!r}])\n"
+        "assert code == 0, code\n"
+        "assert 'mpmath' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_package_env())
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_run_loads_neither_scipy_nor_mpmath(tmp_path):
     # gamma is math.gamma, the Toeplitz maps are numpy, and the zone example's config
     # (scripts/run_zone_example.py) certifies every table value on the contour, so a

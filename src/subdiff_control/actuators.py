@@ -8,6 +8,7 @@ coefficients b_i.  A zone actuator with flat profile on [a,b] has
 a pointwise actuator at b has b_i = sqrt(2) sin(i pi b).  A target subspace G
 of the truncated mode space carries its annihilator (identified with the
 orthogonal complement in coordinates) and the orthogonal projector onto it.
+``dead_modes`` and ``eec_criterion`` are the two tests of ``rhum.require_reachable``.
 """
 
 from __future__ import annotations
@@ -146,18 +147,12 @@ def is_strategic(actuator: Actuator, target: TargetSubspace, tol: float = STRATE
     return {"strategic": len(dead) == 0, "dead_modes": dead}
 
 
-def eec_criterion(gramian, rhs: np.ndarray, tol: float = 1e-8) -> bool:
-    """Solvability of the projected steering equation (numerical null-space test).
+def eec_criterion(gramian, rhs: np.ndarray, verify_distance: float) -> bool:
+    """Exact enlarged controllability: some control steers the free final state into G.
 
     ``gramian`` is the ``rhum.Gramian`` G = V diag(sigma^2) V^T on the annihilator
-    and ``rhs`` the projected free final state (with its sign).  The columns of V
-    with sigma^2 <= tol * sigma_max^2 span G's numerical null space; returns True
-    when rhs has at most tol * |rhs| in it.
+    and ``rhs`` the steering right-hand side c.  The least-norm control at the
+    rank cut misses G by c's part along the columns of V past ``gramian.rank``;
+    returns True when that miss is at most ``verify_distance``.
     """
-    rhs = np.asarray(rhs, dtype=float)
-    nr = float(np.linalg.norm(rhs))
-    if nr == 0.0:
-        return True
-    _, sigma, Vt = gramian.svd
-    null = Vt[sigma**2 <= tol * sigma[0] ** 2]
-    return float(np.linalg.norm(null @ rhs)) <= tol * nr
+    return gramian.range_miss(rhs) <= verify_distance

@@ -8,6 +8,7 @@ the output directory.  Failure paths map to distinct exit codes:
     2  target unreachable: a dead mode the annihilator needs (synthesis and sweep)
     3  no control reaches G within verify_distance at this grid (the message gives
        the Gramian's numerical rank); so ``synthesize`` exiting 0 means within_tolerance
+       and ``eec``, which is true exactly when neither 2 nor 3 applies
     4  quadrature or special-function evaluation failure
 """
 
@@ -22,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .actuators import eec_criterion
 from .config import ProblemConfig, load_config
 from .errors import (
     ConfigError,
@@ -33,7 +33,14 @@ from .errors import (
     SubdiffError,
 )
 from .penalized import epsilon_sweep
-from .rhum import SteeringSystem, control_energy, solve_rhum, steering_system, verify_transfer
+from .rhum import (
+    SteeringSystem,
+    control_energy,
+    require_reachable,
+    solve_rhum,
+    steering_system,
+    verify_transfer,
+)
 from .spectral import TimeGrid
 
 EXIT_CONFIG = 1
@@ -79,12 +86,18 @@ def _read_control_csv(path: Path, grid: TimeGrid) -> np.ndarray:
 
 
 def _analysis_payload(config: ProblemConfig, system: SteeringSystem) -> dict:
-    """Strategic / reachability report on the problem's steering system."""
+    """Strategic / reachability report; ``eec`` is ``require_reachable``'s verdict."""
     gram = system.gramian
+    try:
+        require_reachable(system, config.tolerances.verify_distance)
+    except (InfeasibleError, SingularGramianError):
+        eec = False
+    else:
+        eec = True
     return {
         "strategic": not system.dead_modes,
         "dead_modes": system.dead_modes,
-        "eec": eec_criterion(gram, system.c, config.tolerances.gramian_rank),
+        "eec": eec,
         "gramian_condition": gram.condition_number(),
         "gramian_min_eigenvalue": gram.min_eigenvalue(),
         "influence": [float(v) for v in system.actuator.influence],

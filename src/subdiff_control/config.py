@@ -27,14 +27,12 @@ def _is_array(v) -> bool:
 
 @dataclass(frozen=True)
 class Tolerances:
-    gramian_rank: float = 1e-10
     verify_distance: float = 1e-4
 
     def __post_init__(self):
-        for name, high in (("gramian_rank", 1.0), ("verify_distance", np.inf)):
-            v = getattr(self, name)
-            if not (_is_number(v) and 0 < v < high):
-                raise ConfigError(f"tolerances.{name}", f"must lie in (0, {high}), got {v!r}")
+        v = self.verify_distance
+        if not (_is_number(v) and 0 < v < np.inf):
+            raise ConfigError("tolerances.verify_distance", f"must lie in (0, inf), got {v!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,10 +130,7 @@ class ProblemConfig:
             "y0": list(self.y0),
             "actuator": dict(self.actuator),
             "target_modes": list(self.target_modes),
-            "tolerances": {
-                "gramian_rank": self.tolerances.gramian_rank,
-                "verify_distance": self.tolerances.verify_distance,
-            },
+            "tolerances": {"verify_distance": self.tolerances.verify_distance},
         }
 
     def __eq__(self, other) -> bool:
@@ -154,8 +149,9 @@ def loads_config(data: dict) -> ProblemConfig:
     if not isinstance(tol_data, dict):
         raise ConfigError("tolerances", "must be an object")
     try:
-        # Older files carry a ``quadrature`` tolerance that nothing read; drop it.
-        tol = Tolerances(**{k: v for k, v in tol_data.items() if k != "quadrature"})
+        # Older files carry retired tolerances that nothing reads; drop them.
+        retired = ("quadrature", "gramian_rank")
+        tol = Tolerances(**{k: v for k, v in tol_data.items() if k not in retired})
     except TypeError as exc:
         raise ConfigError("tolerances", str(exc)) from exc
     return ProblemConfig(tolerances=tol, **{key: data[key] for key in required})

@@ -182,7 +182,7 @@ def solve_penalized(problem: PenalizedProblem) -> PenalizedSolution:
     """Minimize the penalized quadratic subject to the hard terminal constraint."""
     config, eps = problem.config, problem.epsilon
     system = steering_system(config)
-    require_reachable(system)
+    require_reachable(system, config.tolerances.verify_distance)
     ridge, recover = _BUILDERS[problem.residual_form](config, system)
     u, t, res_norm = _ridge(*ridge)(eps)
     en = energy(u, system.grid)

@@ -21,7 +21,8 @@ whose one thin SVD gives the solve, the spectrum and the null space (Hansen,
 
 ``steering_system`` assembles a problem's system (A, c, Gramian, dead modes;
 w is ``grid.weights``) once; ``require_reachable`` is the one reachability
-rule.  Penalization is a Tikhonov filter on a factor of the same kind.
+rule, for synthesis, penalization and ``analyze``'s ``eec``.  Penalization is
+a Tikhonov filter on a factor of the same kind.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .actuators import Actuator, TargetSubspace, is_strategic
+from .actuators import Actuator, TargetSubspace, dead_modes, eec_criterion
 from .config import ProblemConfig
 from .errors import DomainError, NonStrategicError, QuadratureError, SingularGramianError
 from .spectral import (
@@ -102,6 +103,10 @@ class Gramian:
         """Number of singular values above numpy's rank cut, eps * max(B.shape) * sigma_max."""
         sigma = self.svd[1]
         return int(np.sum(sigma > np.finfo(float).eps * max(self.factor.shape) * sigma[:1]))
+
+    def range_miss(self, c: np.ndarray) -> float:
+        """|A u - c| of the least-norm control: c's part past V's first ``rank`` columns."""
+        return float(np.linalg.norm(self.svd[2][self.rank:] @ c))
 
     def condition_number(self) -> float:
         """(sigma_max / sigma_min)^2, or inf where sigma_min is below the rank cut."""
@@ -175,15 +180,32 @@ def steering_system(config: ProblemConfig) -> SteeringSystem:
     grid = config.grid()
     gram, A, _ = discrete_gramian(actuator, target, config.alpha, grid)
     free_T = _modes(config.alpha, grid, config.n_modes).factors[:, -1] * config.y0_array()
-    dead = is_strategic(actuator, target, config.tolerances.gramian_rank)["dead_modes"]
     c = -(target.polar_basis.T @ free_T)
-    return SteeringSystem(actuator, target, grid, gram, A, c, dead)
+    return SteeringSystem(actuator, target, grid, gram, A, c, dead_modes(actuator, target))
 
 
-def require_reachable(system: SteeringSystem) -> None:
-    """Refuse iff the annihilator touches a dead mode and the free state leaves G (c != 0)."""
-    if system.dead_modes and float(np.linalg.norm(system.c)) != 0.0:
+def _rank_refusal(system: SteeringSystem, miss: float, verify_distance: float):
+    """Refusal of a c outside the Gramian's numerical range: its rank, the grid and the miss."""
+    m, n = system.c.size, system.grid.n_steps
+    msg = (f"the Gramian has numerical rank {system.gramian.rank} of {m} at n_steps={n}; "
+           f"its least-norm control misses G by {miss:.3e} > verify_distance={verify_distance:.1e}")
+    if n + 1 < m:
+        msg += f"; {n + 1} control samples cannot meet {m} annihilator conditions"
+    return SingularGramianError(msg)
+
+
+def require_reachable(system: SteeringSystem, verify_distance: float) -> None:
+    """Raise unless some control steers the free final state into G within ``verify_distance``.
+
+    ``NonStrategicError`` when the annihilator touches a dead mode and c != 0;
+    ``SingularGramianError`` when the least-norm control at the Gramian's rank
+    cut misses G by more than ``verify_distance`` (``eec_criterion`` fails).
+    """
+    gram, c = system.gramian, system.c
+    if system.dead_modes and float(np.linalg.norm(c)) != 0.0:
         raise NonStrategicError(system.dead_modes)
+    if not eec_criterion(gram, c, verify_distance):
+        raise _rank_refusal(system, gram.range_miss(c), verify_distance)
 
 
 @dataclass(frozen=True)
@@ -205,11 +227,13 @@ def solve_rhum(config: ProblemConfig) -> RhumSolution:
     Minimizes the trapezoid-weighted control energy subject to the terminal
     state landing in the target subspace, which is exactly the adjoint-seed
     normal-equation solve in the weighted geometry: u = W^{-1/2} U_k sigma_k^-1 V_k^T c
-    over the k singular values above numpy's rank cut.  Refuses when |A u - c|,
-    the simulated miss up to rounding, exceeds ``tolerances.verify_distance``.
+    over the k singular values above numpy's rank cut.  Refuses through
+    ``require_reachable``, and when |A u - c|, the simulated miss up to
+    rounding, of the computed control exceeds ``tolerances.verify_distance``.
     """
     system = steering_system(config)
-    require_reachable(system)
+    vd = config.tolerances.verify_distance
+    require_reachable(system, vd)
     gram, A, c = system.gramian, system.A, system.c
     if float(np.linalg.norm(c)) == 0.0:  # includes G = whole space (no annihilator)
         zero = np.zeros(system.grid.n_steps + 1)
@@ -226,11 +250,9 @@ def solve_rhum(config: ProblemConfig) -> RhumSolution:
     k = gram.rank
     coef = (Vt[:k] @ c) / sigma[:k]
     u_star = (U[: A.shape[1], :k] @ coef) / np.sqrt(system.grid.weights)
-    miss, vd = float(np.linalg.norm(A @ u_star - c)), config.tolerances.verify_distance
+    miss = float(np.linalg.norm(A @ u_star - c))
     if not miss <= vd:
-        raise SingularGramianError(
-            f"the Gramian has numerical rank {k} of {c.size} at n_steps={config.n_steps}; "
-            f"its least-norm control misses G by {miss:.3e} > verify_distance={vd:.1e}")
+        raise _rank_refusal(system, miss, vd)
     phi_hat = Vt[:k].T @ (coef / sigma[:k])
     resid = miss / float(np.linalg.norm(c))  # = |G phi_hat - c| / |c|
     return RhumSolution(system.target.polar_basis @ phi_hat, phi_hat, u_star, resid, system)

@@ -55,8 +55,10 @@ _CONTOUR_RTOL = 1e-10  # the passes must agree, and the rounding estimate hold, 
 
 
 def gamma_fn(x: float) -> float:
-    """Euler's gamma function for real x away from the poles; +-inf where it overflows."""
+    """Euler's gamma function for finite real x away from the poles; +-inf where it overflows."""
     x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"gamma function needs a finite argument, got {x}")
     if x <= 0 and x == math.floor(x):
         raise PoleError(f"gamma function has a pole at {x}")
     try:
@@ -205,26 +207,26 @@ def mittag_leffler(p: float, q: float, z: float) -> float:
     return _ml_asymptotic_pos(p, q, z, x)
 
 
-def _contour_sum(num: np.ndarray, s_p: np.ndarray, m, r) -> tuple[np.ndarray, np.ndarray]:
-    """Re sum_k num_k / (m s_p[k] - r) and sum_k |num_k / (m s_p[k] - r)|, node by node.
+def _contour_sum(num: np.ndarray, s_p: np.ndarray, m, r, estimate: bool):
+    """Re sum_k num_k / (m s_p[k] - r) and, if ``estimate``, sum_k |num_k / (m s_p[k] - r)|.
 
     Node by node, so temporaries stay the size of m or r.  Every term is formed
     to a few ulps, so the second sum times the machine epsilon estimates the
-    rounding error of the first, cancellation included.
+    rounding error of the first, cancellation included (None without ``estimate``).
     """
     shape = np.broadcast_shapes(np.shape(m), np.shape(r))
-    acc, mag = np.zeros(shape), np.zeros(shape)
+    acc, mag = np.zeros(shape), (np.zeros(shape) if estimate else None)
     for nk, ak, bk in zip(num.tolist(), s_p.real.tolist(), s_p.imag.tolist()):
         d = ak * m - r
         e = bk * m
         den = d * d + e * e
         acc += (nk.real * d + nk.imag * e) / den
-        mag += abs(nk) / np.sqrt(den)
+        if estimate:
+            mag += abs(nk) / np.sqrt(den)
     return acc, mag
 
 
-def _ml_contour(p: float, q: float, z: np.ndarray, h: float,
-                n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def _ml_contour(p: float, q: float, z: np.ndarray, h: float, n_nodes: int, estimate: bool):
     """One trapezoid pass for E_{p,q}(z), 0 < p < 1, z < 0 finite: values and rounding estimates.
 
     E = (1/2 pi i) int e^s s^{p-q}/(s^p - z) ds over s(u) = mu (1 + iu)^2, which
@@ -232,22 +234,25 @@ def _ml_contour(p: float, q: float, z: np.ndarray, h: float,
     so only u >= 0 is summed.  For z < -1 the leading tail term is split off
     exactly, E = (w T - 1/Gamma(q-p)) w with w = 1/z and
     T = (1/2 pi i) int e^s s^{2p-q}/(s^p w - 1) ds, so the sum no longer cancels
-    down to it and no term overflows for any finite z.
+    down to it and no term overflows for any finite z.  The estimates are None,
+    and never formed, without ``estimate``.
     """
     u = h * np.arange(n_nodes)
     s = _CONTOUR_MU * (1.0 + 1j * u) ** 2
     s_p = s**p
     num = (2.0 * _CONTOUR_MU * h / math.pi) * (1.0 + 1j * u) * np.exp(s) * s ** (p - q)
     num[0] *= 0.5
-    val, err = np.empty_like(z), np.empty_like(z)
+    val, err = np.empty_like(z), (np.empty_like(z) if estimate else None)
     far = z < -1.0
     near = ~far
-    val[near], err[near] = _contour_sum(num, s_p, 1.0, z[near])
+    val[near], near_err = _contour_sum(num, s_p, 1.0, z[near], estimate)
     w = 1.0 / z[far]
-    t, t_err = _contour_sum(num * s_p, s_p, w, 1.0)
+    t, t_err = _contour_sum(num * s_p, s_p, w, 1.0, estimate)
     val[far] = (w * t - _rgamma(q - p)) * w
-    err[far] = t_err * w * w
-    return val, err * np.finfo(float).eps
+    if estimate:
+        eps = np.finfo(float).eps
+        err[near], err[far] = near_err * eps, t_err * w * w * eps
+    return val, err
 
 
 def mittag_leffler_array(p: float, q: float, z) -> np.ndarray:
@@ -268,7 +273,9 @@ def mittag_leffler_array(p: float, q: float, z) -> np.ndarray:
         idx = np.flatnonzero((flat < 0.0) & np.isfinite(flat))
         zc = flat[idx]
         with np.errstate(all="ignore"):
-            (v1, e1), (v2, _) = (_ml_contour(p, q, zc, h, n) for h, n in _CONTOUR_PASSES)
+            (h1, n1), (h2, n2) = _CONTOUR_PASSES
+            v1, e1 = _ml_contour(p, q, zc, h1, n1, estimate=True)
+            v2, _ = _ml_contour(p, q, zc, h2, n2, estimate=False)
             ok = np.maximum(np.abs(v1 - v2), e1) <= _CONTOUR_RTOL * np.abs(v1)
         vals[idx[ok]] = v1[ok]
         todo[idx[ok]] = False

@@ -102,21 +102,15 @@ class TestValidation:
 
     def test_tolerances_validation(self):
         with pytest.raises(ConfigError):
-            Tolerances(gramian_rank=0.0)
-        with pytest.raises(ConfigError):
             Tolerances(verify_distance=-1e-3)
-        # an infinite rank cut marks every mode dead; an infinite distance
-        # accepts every miss; a cut >= 1 discards every Gramian direction
-        for bad in (float("inf"), float("nan"), 1.0, 2.0):
-            with pytest.raises(ConfigError):
-                Tolerances(gramian_rank=bad)
-        for bad in (float("inf"), float("nan")):
+        # an infinite distance accepts every miss
+        for bad in (0.0, float("inf"), float("nan")):
             with pytest.raises(ConfigError):
                 Tolerances(verify_distance=bad)
-        data = json.loads('{"tolerances": {"gramian_rank": Infinity}}')
+        data = json.loads('{"tolerances": {"verify_distance": Infinity}}')
         with pytest.raises(ConfigError) as exc:
             loads_config(_cfg_dict(**data))
-        assert exc.value.field == "tolerances.gramian_rank"
+        assert exc.value.field == "tolerances.verify_distance"
 
     def test_unknown_tolerance_keys(self):
         # older files carry the unread "quadrature" tolerance: it is dropped
@@ -126,6 +120,13 @@ class TestValidation:
         with pytest.raises(ConfigError) as exc:
             loads_config(_cfg_dict(tolerances={"quadrature_tol": 1e-8}))
         assert exc.value.field == "tolerances"
+
+    def test_config_file_with_gramian_rank_loads(self, tmp_path):
+        # older files carry the retired "gramian_rank" tolerance: it is dropped
+        path = _write_cfg(tmp_path, tolerances={"gramian_rank": 1e-10, "verify_distance": 2e-5})
+        cfg = load_config(path)
+        assert cfg.tolerances == Tolerances(verify_distance=2e-5)
+        assert cfg.to_dict()["tolerances"] == {"verify_distance": 2e-5}
 
     def test_loads_requires_fields(self):
         data = _cfg_dict()
@@ -354,6 +355,21 @@ class TestCliAnalyze:
         analysis = json.loads((out / "analysis.json").read_text())
         assert report["control_energy"] == 0.0
         assert report["gramian_condition"] == analysis["gramian_condition"] > 1e8
+
+    @pytest.mark.filterwarnings("ignore:Gramian condition number")
+    def test_eec_is_the_synthesis_verdict(self, tmp_path):
+        # exact steering at alpha 0.3 on a rank-deficient Gramian: the least-norm
+        # control misses G by ~3e-10, so synthesis exits 0 and eec holds
+        cfg_path = _write_cfg(
+            tmp_path, alpha=0.3, n_modes=5, n_steps=128, y0=[1.0, 0.5, 0.25, 0.125, 0.0625],
+            target_modes=[],
+        )
+        out = tmp_path / "out"
+        assert main(["synthesize", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert main(["analyze", "--config", str(cfg_path), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["within_tolerance"] is True and report["eec"] is True
+        assert json.loads((out / "analysis.json").read_text())["eec"] is True
 
     def test_analyze_reports_dead_modes_without_failing(self, tmp_path):
         # analysis is diagnostic: it reports the dead mode but still exits 0

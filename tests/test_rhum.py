@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 from subdiff_control.actuators import make_pointwise, make_target, make_zone
+from subdiff_control.cli import _analysis_payload
 from subdiff_control.config import ProblemConfig
 from subdiff_control.errors import (
     DomainError,
@@ -24,6 +25,7 @@ from subdiff_control.rhum import (
     discrete_gramian,
     final_free_state,
     observation,
+    require_reachable,
     solve_rhum,
     steering_system,
     verify_transfer,
@@ -275,6 +277,23 @@ class TestSolve:
         gram = steering_system(cfg).gramian
         assert gram.rank == 5 and gram.condition_number() == math.inf
 
+    def test_refusal_counts_samples_against_annihilator_conditions(self):
+        # 4 control samples cannot steer 15 annihilator coordinates
+        cfg = ProblemConfig(
+            alpha=0.5,
+            T=1.0,
+            n_modes=20,
+            n_steps=3,
+            y0=(1.0,) * 20,
+            actuator={"kind": "zone", "a": 0.21, "b": 0.5},
+            target_modes=(1, 2, 3, 4, 5),
+        )
+        msg = r"rank 3 of 15 at n_steps=3; .*; 4 control samples cannot meet 15 annihilator"
+        with pytest.raises(SingularGramianError, match=msg):
+            solve_rhum(cfg)
+        with pytest.raises(SingularGramianError, match=msg):
+            require_reachable(steering_system(cfg), cfg.tolerances.verify_distance)
+
     @pytest.mark.filterwarnings("ignore:Gramian condition number")
     @pytest.mark.parametrize(
         "alpha,n_modes,n_steps", [(0.9, 12, 256), (0.4, 6, 256), (0.4, 6, 1024), (0.9, 16, 1024)]
@@ -339,17 +358,22 @@ def _random_config(rng):
 
 def test_returned_controls_land_within_verify_distance():
     # Over the validator's domain, the synthesis either refuses with a typed
-    # error or returns a control whose simulated miss is within tolerance.
+    # error or returns a control whose simulated miss is within tolerance,
+    # and analyze's eec is true exactly when it returns.
     rng = np.random.default_rng(20261019)
     returned = 0
     for _ in range(200):
         cfg = _random_config(rng)
+        eec = None
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
+                eec = _analysis_payload(cfg, steering_system(cfg))["eec"]
                 sol = solve_rhum(cfg)
         except SubdiffError:
+            assert not eec, cfg
             continue
+        assert eec, cfg
         returned += 1
         miss = verify_transfer(cfg, sol.u_star).distance_to_G
         assert miss <= cfg.tolerances.verify_distance, cfg

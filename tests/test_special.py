@@ -65,6 +65,11 @@ class TestGamma:
             oracle = float(mp.quad(lambda t: t ** mp.mpf("-0.6") * mp.e**-t, [0, mp.inf]))
         assert gamma_fn(0.4) == pytest.approx(oracle, rel=1e-13)
 
+    @pytest.mark.parametrize("x", [-math.inf, math.inf, math.nan])
+    def test_non_finite_argument_is_a_domain_error(self, x):
+        with pytest.raises(DomainError):
+            gamma_fn(x)
+
     @pytest.mark.parametrize("x", [0, -1, -2, -7])
     def test_pole_error(self, x):
         with pytest.raises(PoleError):

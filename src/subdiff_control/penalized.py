@@ -28,7 +28,8 @@ builder of that system on the problem's ``rhum.SteeringSystem``:
   terminal map of the L1 scheme, not of the Mittag-Leffler table.  Its
   eps -> 0 limit is the minimum-energy control of the *L1-discretized*
   dynamics, which differs from the mild-solution control by the scheme gap;
-  this is the independent cross-check of the synthesis.
+  this is the independent cross-check of the synthesis.  It costs one O(n^2)
+  Caputo matrix and N LU solves of it, each shifted in place by lambda_i.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 
 from .config import ProblemConfig
 from .errors import DomainError
-from .fractional import _derivative, _kernel_matrix
+from .fractional import _kernel_matrix
 from .rhum import (
     Gramian,
     SteeringSystem,
@@ -76,9 +77,15 @@ energy = control_energy  # trapezoid quadrature of (1/2) integral u(t)^2 dt
 
 def _caputo_matrix(grid: TimeGrid, alpha: float) -> np.ndarray:
     """Dense matrix of the discrete Caputo operator (``caputo_left``) on grid node samples."""
-    n = grid.n_steps + 1
-    weights = _kernel_matrix(n, grid.h, -alpha)
-    return weights @ _derivative(np.eye(n), grid.h) / gamma_fn(1.0 - alpha)
+    K = _kernel_matrix(grid.n_steps + 1, grid.h, -alpha)
+    # K @ _derivative(I) in O(n^2): centered rows shift K's columns, end rows add their stencils
+    D = np.zeros_like(K)
+    D[:, 2:] += K[:, 1:-1]
+    D[:, :-2] -= K[:, 1:-1]
+    D[:, :3] += np.outer(K[:, 0], [-3.0, 4.0, -1.0])
+    D[:, -3:] += np.outer(K[:, -1], [1.0, -4.0, 3.0])
+    D /= 2.0 * grid.h * gamma_fn(1.0 - alpha)
+    return D
 
 
 def dynamics_residual(
@@ -145,8 +152,9 @@ def _caputo_system(config: ProblemConfig, system: SteeringSystem):
     z_i[1:] = M_i^-1 (b_i u[1:] - m y0_i + rho_i), M_i = (D - lambda_i I)[1:, 1:],
     m = D[1:, 0].  So z_i(T) = l_i^T (...) with l_i = M_i^-T e_last, and the
     cheapest rho_i that shifts z_i(T) by t_i is (t_i / s_i) W_r^-1 l_i with
-    s_i = l_i^T W_r^-1 l_i.  Recovering z solves each M_i again: keeping N dense
-    factors would double a sweep's peak memory.
+    s_i = l_i^T W_r^-1 l_i.  Each M_i is D's block with its diagonal assigned in
+    place, and recovering z solves it again: N kept copies or factors would add
+    N n^2 doubles to a sweep's peak of about 2 (n+1)^2.
     """
     grid, w = system.grid, system.grid.weights
     b = system.actuator.influence
@@ -157,9 +165,14 @@ def _caputo_system(config: ProblemConfig, system: SteeringSystem):
     # operator vanishes there by construction), so node 0 carries no weight.
     w_r = w[1:]
     D = _caputo_matrix(grid, config.alpha)
-    Dr, m = D[1:, 1:], D[1:, 0]
-    eye = np.eye(grid.n_steps)
-    L = np.stack([np.linalg.solve((Dr - li * eye).T, eye[-1]) for li in lam])
+    Dr, m, diag = D[1:, 1:], D[1:, 0], D.diagonal()[1:].copy()
+    e_last = np.zeros(grid.n_steps)
+    e_last[-1] = 1.0
+    L = np.empty((config.n_modes, grid.n_steps))
+    for i, li in enumerate(lam):
+        np.fill_diagonal(Dr, diag - li)  # M_i: every use assigns, never shifts back, so exact
+        L[i] = np.linalg.solve(Dr.T, e_last)
+    np.fill_diagonal(Dr, diag)
     s = np.sum(L * L / w_r, axis=1)
     A = np.pad(P.T @ (b[:, None] * L), ((0, 0), (1, 0)))  # node 0 has no influence
 
@@ -168,7 +181,8 @@ def _caputo_system(config: ProblemConfig, system: SteeringSystem):
         z[0] = y0
         for i, li in enumerate(lam):
             rho = (t[i] / s[i]) * L[i] / w_r
-            z[1:, i] = np.linalg.solve(Dr - li * eye, b[i] * u[1:] - m * y0[i] + rho)
+            np.fill_diagonal(Dr, diag - li)
+            z[1:, i] = np.linalg.solve(Dr, b[i] * u[1:] - m * y0[i] + rho)
         return z
 
     return (A, w, P.T @ (y0 * (L @ m)), P, s), recover

@@ -1,23 +1,26 @@
 """Tests for the penalization cross-check of the minimum-energy synthesis."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from subdiff_control.config import ProblemConfig
 from subdiff_control.errors import DomainError, InfeasibleError
-from subdiff_control.fractional import SampledSignal, caputo_left
+from subdiff_control.fractional import SampledSignal, _derivative, _kernel_matrix, caputo_left
 from subdiff_control.penalized import (
     PenalizedProblem,
     _caputo_matrix,
+    _caputo_system,
     dynamics_residual,
     energy,
     epsilon_sweep,
     solve_penalized,
 )
-from subdiff_control.rhum import control_energy, solve_rhum, verify_transfer
-from subdiff_control.spectral import TimeGrid
+from subdiff_control.rhum import control_energy, solve_rhum, steering_system, verify_transfer
+from subdiff_control.spectral import TimeGrid, eigenvalues
+from subdiff_control.special import gamma_fn
 
 
 def _small_config(**overrides):
@@ -59,6 +62,15 @@ class TestBasics:
         v = np.cos(3.0 * grid.nodes) + grid.nodes**2
         expect = caputo_left(SampledSignal(v, 0.0, grid.T), 0.35).values
         assert np.allclose(_caputo_matrix(grid, 0.35) @ v, expect, rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.35, 0.5, 0.95])
+    @pytest.mark.parametrize("n_steps", [2, 3, 40, 256])  # at 2 and 3 the end stencils overlap
+    def test_caputo_matrix_is_kernel_times_derivative(self, n_steps, alpha):
+        grid = TimeGrid(2.0, n_steps)
+        n, h = n_steps + 1, grid.h
+        oracle = _kernel_matrix(n, h, -alpha) @ _derivative(np.eye(n), h) / gamma_fn(1.0 - alpha)
+        D = _caputo_matrix(grid, alpha)
+        assert np.max(np.abs(D - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
     def test_mild_residual_vanishes_on_simulated_pair(self):
         cfg = _small_config()
@@ -263,6 +275,75 @@ class TestSweep:
         rows = epsilon_sweep(cfg, [1e-4])
         assert len(rows) == 1
         assert rows[0].epsilon == 1e-4
+
+
+class TestCaputoSystem:
+    """The caputo form's terminal rows, outputs and memory, pinned."""
+
+    # one penalty_sweep-sized config: N=5, n=256, zone actuator, alpha 1/2
+    PINNED = dict(
+        alpha=0.5,
+        n_modes=5,
+        n_steps=256,
+        y0=(1.0, -0.377513, 0.314403, -0.236791, 0.184267),
+        actuator={"kind": "zone", "a": 0.4102, "b": 0.5415},
+        target_modes=(2, 3, 4, 5),
+    )
+
+    def test_terminal_rows_solve_each_shifted_matrix(self):
+        # exact steering makes P square and orthonormal, so A's rows give L back
+        cfg = _small_config(n_modes=4, y0=(1.0, 0.5, 0.0, -0.25), target_modes=(), n_steps=64)
+        system = steering_system(cfg)
+        (A, *_), _ = _caputo_system(cfg, system)
+        P, b = system.target.polar_basis, system.actuator.influence
+        L = (P @ A[:, 1:]) / b[:, None]
+        Dr = _caputo_matrix(cfg.grid(), cfg.alpha)[1:, 1:]
+        eye = np.eye(cfg.n_steps)
+        for i, li in enumerate(eigenvalues(cfg.n_modes)):
+            expect = np.linalg.solve((Dr - li * eye).T, eye[-1])
+            assert np.max(np.abs(L[i] - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    def test_outputs_pinned(self):
+        # values of the dense O(n^3) build; the scheme must not move under a speed-up
+        cfg = _small_config(**self.PINNED)
+        rows = epsilon_sweep(cfg, [1e-1, 1e-3, 1e-5], "caputo")
+        expect = [
+            (0.022560402301988403, 0.7712425029626956, 0.05807158337173477),
+            (0.08674461487016621, 0.2391649422816859, 0.0022328489833879873),
+            (0.08928476110020454, 0.23377157972761717, 2.298233594708092e-05),
+        ]
+        got = [(r.J_eps, r.rel_control_err, r.residual_norm) for r in rows]
+        np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0.0)
+        z = solve_penalized(PenalizedProblem(cfg, 1e-3, "caputo")).z_eps
+        z_expect = {
+            1: [0.6164078508407955, -0.10550590416115177, 0.04560329542848991,
+                -0.020757468755540694, 0.010727620830045977],
+            2: [0.5238101964165647, -0.0796731205825389, 0.03329015969317268,
+                -0.014509390869504113, 0.007298773755754281],
+            64: [0.12056359821084862, -0.012583576029273454, 0.004832253668833158,
+                 -0.002075163519962959, 0.001040560737231463],
+            128: [0.08591151377368501, -0.00888789885584442, 0.0034147284084907743,
+                  -0.0014633373334848319, 0.0007326475479979825],
+            255: [0.026535889764893583, -0.008639946178339401, 0.010041230267423089,
+                  0.00029198683359931663, -0.002021162043419103],
+            # mode 1 at T is annihilated: its exact value is 0, and roundoff sits in atol
+            256: [0.0, -0.009906108734383372, 0.01362736052184352,
+                  0.0008791173330103494, -0.0031035170258945292],
+        }
+        for k, zk in z_expect.items():
+            np.testing.assert_allclose(z[k], zk, rtol=1e-12, atol=1e-12 * np.max(np.abs(z)))
+        assert float(np.sum(z * z)) == pytest.approx(5.978000869129346, rel=1e-12, abs=0.0)
+
+    def test_sweep_peak_memory_stays_near_two_matrices(self):
+        cfg = _small_config(**self.PINNED)
+        epsilon_sweep(cfg, [1e-1, 1e-3, 1e-5], "caputo")  # warm the mode table
+        tracemalloc.start()
+        try:
+            epsilon_sweep(cfg, [1e-1, 1e-3, 1e-5], "caputo")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * (cfg.n_steps + 1) ** 2 * 8
 
 
 def test_dynamics_residual_rejects_unknown_form():

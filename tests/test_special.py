@@ -519,3 +519,26 @@ def test_cli_run_loads_neither_scipy_nor_mpmath(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_package_env())
     assert proc.returncode == 0, proc.stderr
+
+
+def test_penalization_loads_neither_scipy_nor_mpmath(tmp_path):
+    # a CLI sweep (mild form) and an in-process caputo sweep and solve stay on numpy
+    cfg = {"alpha": 0.4, "T": 1.0, "n_modes": 5, "n_steps": 128, "y0": [1.0, 0.0, 0.0, 0.0, 0.0],
+           "actuator": {"kind": "zone", "a": 0.2, "b": 0.5}, "target_modes": [2, 3, 4, 5]}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    code = (
+        "import sys\n"
+        "from subdiff_control import cli, config, penalized\n"
+        f"code = cli.main(['sweep', '--config', {str(cfg_path)!r}, '--out', {str(tmp_path)!r},"
+        " '--eps', '1e-2,1e-4'])\n"
+        "assert code == 0, code\n"
+        f"cfg = config.ProblemConfig(**{cfg!r})\n"
+        "penalized.epsilon_sweep(cfg, [1e-2, 1e-4], 'caputo')\n"
+        "penalized.solve_penalized(penalized.PenalizedProblem(cfg, 1e-3, 'caputo'))\n"
+        "loaded = sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'mpmath'})\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_package_env())
+    assert proc.returncode == 0, proc.stderr

@@ -5,6 +5,7 @@ Runs the reachability analysis for a pointwise actuator at 1/3 (whose
 influence on every third mode vanishes exactly), then attempts synthesis for
 two targets: one whose annihilator avoids the dead mode (succeeds) and one
 that requires steering the dead mode (reported as non-strategic, exit 2).
+Exits 1 unless every one of these three steps exits as expected.
 """
 
 import argparse
@@ -39,15 +40,15 @@ def main() -> int:
     good_dir = out / "reachable"
     good_dir.mkdir(parents=True, exist_ok=True)
     save_config(good, good_dir / "config.json")
-    cli_main(["analyze", "--config", str(good_dir / "config.json"), "--out", str(good_dir)])
-    code = cli_main(["synthesize", "--config", str(good_dir / "config.json"), "--out", str(good_dir)])
+    good_args = ["--config", str(good_dir / "config.json"), "--out", str(good_dir)]
+    codes = [cli_main(["analyze", *good_args]), cli_main(["synthesize", *good_args])]
 
     bad_dir = out / "unreachable"
     bad_dir.mkdir(parents=True, exist_ok=True)
     save_config(bad, bad_dir / "config.json")
     bad_code = cli_main(["synthesize", "--config", str(bad_dir / "config.json"), "--out", str(bad_dir)])
     print(f"unreachable variant exited with code {bad_code} (expected 2)")
-    return code
+    return int(codes + [bad_code] != [0, 0, 2])
 
 
 if __name__ == "__main__":

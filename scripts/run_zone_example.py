@@ -5,6 +5,7 @@ Synthesizes the minimum-energy control for a flat zone actuator on
 [0.2, 0.5] at fractional order 0.4, starting from the first eigenmode, and
 verifies the transfer by re-simulating the mild solution.  Artifacts
 (control.csv, trajectory.csv, report.json) land in the output directory.
+Exits with the first non-zero exit code of synthesize and verify.
 """
 
 import argparse
@@ -41,7 +42,7 @@ def main() -> int:
     save_config(config, cfg_path)
     code = cli_main(["synthesize", "--config", str(cfg_path), "--out", str(out)])
     if code == 0:
-        cli_main(["verify", "--config", str(cfg_path), "--out", str(out)])
+        code = cli_main(["verify", "--config", str(cfg_path), "--out", str(out)])
     return code
 
 

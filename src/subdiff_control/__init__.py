@@ -42,7 +42,6 @@ from .penalized import (
     PenalizedSolution,
     SweepRow,
     dynamics_residual,
-    energy,
     epsilon_sweep,
     solve_penalized,
 )

@@ -27,8 +27,6 @@ STRATEGIC_TOL = 1e-10  # relative to max |b_i|
 class Actuator:
     """Spatial input shape reduced to its eigenmode influence coefficients."""
 
-    kind: str  # "zone" or "pointwise"
-    params: tuple
     influence: np.ndarray
 
     def __post_init__(self):
@@ -39,25 +37,12 @@ class Actuator:
         return self.influence.size
 
 
-def make_zone(a: float, b: float, n_modes: int, profile_coeffs=None) -> Actuator:
-    """Zone actuator supported on [a, b].
-
-    With the default flat profile the influence coefficients come from the
-    closed-form integral of sqrt(2) sin(i pi x) over [a, b].  A custom profile
-    is supplied directly as its mode coefficients <f, w_i> over the zone.
-    """
+def make_zone(a: float, b: float, n_modes: int) -> Actuator:
+    """Zone actuator with flat profile on [a, b]: the closed-form integral of w_i over it."""
     if not (0.0 <= a < b <= 1.0):
         raise DomainError(f"zone must satisfy 0 <= a < b <= 1, got [{a}, {b}]")
-    if profile_coeffs is not None:
-        influence = np.asarray(profile_coeffs, dtype=float)
-        if influence.shape != (n_modes,):
-            raise DomainError(
-                f"profile coefficients must have length {n_modes}, got {influence.shape}"
-            )
-    else:
-        i = np.arange(1, n_modes + 1, dtype=float)
-        influence = (SQRT2 / (i * np.pi)) * (np.cos(i * np.pi * a) - np.cos(i * np.pi * b))
-    return Actuator("zone", (float(a), float(b)), influence)
+    i = np.arange(1, n_modes + 1, dtype=float)
+    return Actuator((SQRT2 / (i * np.pi)) * (np.cos(i * np.pi * a) - np.cos(i * np.pi * b)))
 
 
 def make_pointwise(b: float, n_modes: int) -> Actuator:
@@ -65,8 +50,7 @@ def make_pointwise(b: float, n_modes: int) -> Actuator:
     if not 0.0 < b < 1.0:
         raise DomainError(f"pointwise location must lie strictly in (0,1), got {b}")
     i = np.arange(1, n_modes + 1, dtype=float)
-    influence = SQRT2 * np.sin(i * np.pi * b)
-    return Actuator("pointwise", (float(b),), influence)
+    return Actuator(SQRT2 * np.sin(i * np.pi * b))
 
 
 @dataclass(frozen=True)
@@ -130,20 +114,20 @@ def make_target(selected, n_modes: int) -> TargetSubspace:
     return TargetSubspace(basis, polar, polar @ polar.T)
 
 
-def dead_modes(actuator: Actuator, target: TargetSubspace, tol: float = STRATEGIC_TOL):
+def dead_modes(actuator: Actuator, target: TargetSubspace):
     """Mode indices (1-based) with vanishing influence that the annihilator touches."""
     b = actuator.influence
-    scale = float(np.max(np.abs(b))) if b.size else 0.0
+    cut = STRATEGIC_TOL * (float(np.max(np.abs(b))) if b.size else 0.0)
     out = []
     for i in range(b.size):
-        if abs(b[i]) <= tol * scale and np.max(np.abs(target.polar_basis[i, :]), initial=0.0) > 1e-12:
+        if abs(b[i]) <= cut and np.max(np.abs(target.polar_basis[i, :]), initial=0.0) > 1e-12:
             out.append(i + 1)
     return out
 
 
-def is_strategic(actuator: Actuator, target: TargetSubspace, tol: float = STRATEGIC_TOL) -> dict:
+def is_strategic(actuator: Actuator, target: TargetSubspace) -> dict:
     """Strategic iff every mode the annihilator touches has nonzero influence."""
-    dead = dead_modes(actuator, target, tol)
+    dead = dead_modes(actuator, target)
     return {"strategic": len(dead) == 0, "dead_modes": dead}
 
 

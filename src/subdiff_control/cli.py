@@ -191,7 +191,9 @@ def _cmd_analyze(config: ProblemConfig, out: Path) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built on the first call and reused by every later ``main``."""
     parser = argparse.ArgumentParser(
         prog="subdiff-control",
         description="Minimum-energy steering of sub-diffusion into a target subspace",
@@ -209,12 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "sweep":
             p.add_argument("--eps", required=True, help="comma-separated decreasing penalty values")
     return parser
-
-
-@functools.lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """``build_parser()``, built on the first call and reused by every later ``main``."""
-    return build_parser()
 
 
 def main(argv=None) -> int:

@@ -101,8 +101,10 @@ def _lower_toeplitz(col: np.ndarray, m: int) -> np.ndarray:
 def _kernel_matrix(n: int, h: float, gamma: float) -> np.ndarray:
     """Matrix M with M @ values = _kernel_convolve(values, h, gamma) for n samples."""
     w_left, w_right = _kernel_weights(n, h, gamma)
-    mat = _lower_toeplitz(np.concatenate([[0.0], w_left]), n)
-    mat[1:, 1:] += _lower_toeplitz(w_right, n - 1)
+    col = np.concatenate([[0.0], w_left])
+    # Columns 1.. carry both weights of each interval; column 0 only its left weights.
+    mat = _lower_toeplitz(col + np.append(w_right, 0.0), n)
+    mat[:, 0] = col
     return mat
 
 

@@ -52,12 +52,10 @@ from .rhum import (
 from .spectral import TimeGrid, eigenvalues, mild_trajectory
 from .special import gamma_fn
 
-RESIDUAL_FORMS = ("mild", "caputo")
-
 
 def _check_form(form: str) -> None:
-    if form not in RESIDUAL_FORMS:
-        raise DomainError(f"residual_form must be one of {RESIDUAL_FORMS}, got {form!r}")
+    if form not in _BUILDERS:
+        raise DomainError(f"residual_form must be one of {tuple(_BUILDERS)}, got {form!r}")
 
 
 @dataclass(frozen=True)
@@ -70,9 +68,6 @@ class PenalizedProblem:
         if not 0 < self.epsilon < np.inf:
             raise DomainError(f"penalty parameter must be positive and finite, got {self.epsilon}")
         _check_form(self.residual_form)
-
-
-energy = control_energy  # trapezoid quadrature of (1/2) integral u(t)^2 dt
 
 
 def _caputo_matrix(grid: TimeGrid, alpha: float) -> np.ndarray:
@@ -199,7 +194,7 @@ def solve_penalized(problem: PenalizedProblem) -> PenalizedSolution:
     require_reachable(system, config.tolerances.verify_distance)
     ridge, recover = _BUILDERS[problem.residual_form](config, system)
     u, t, res_norm = _ridge(*ridge)(eps)
-    en = energy(u, system.grid)
+    en = control_energy(u, system.grid)
     return PenalizedSolution(u, recover(u, t), en + res_norm**2 / (2.0 * eps), en, res_norm)
 
 
@@ -240,5 +235,5 @@ def epsilon_sweep(
         u, _, res_norm = solve(e)
         dn = float(np.sqrt(np.dot(w, (u - u_ref) ** 2)))
         rel = dn / ref_norm if ref_norm > 0 else dn
-        rows.append(SweepRow(e, energy(u, grid) + res_norm**2 / (2.0 * e), rel, res_norm))
+        rows.append(SweepRow(e, control_energy(u, grid) + res_norm**2 / (2.0 * e), rel, res_norm))
     return rows

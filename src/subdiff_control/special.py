@@ -23,8 +23,9 @@ certificate, to the scalar :func:`mittag_leffler`, which has three regimes:
 
 The stable density psi_alpha and the kernel phi_alpha come from Kanter's positive
 integral (Ann. Probab. 3 (1975) 697-707): one quadrature, certified or EvaluationError.
-Gamma and the contour kernel need only math and numpy; scipy.special (z = 0, the algebraic
-expansion), mpmath (the series) and scipy.integrate (Kanter) are imported on first use.
+Gamma, 1/Gamma and the contour kernel need only math and numpy; scipy.special (gammaln in
+the algebraic expansion's envelope), mpmath (the series) and scipy.integrate (Kanter) are
+imported on first use.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ def _ml_asymptotic_neg(p: float, q: float, z: float):
     zi = 1.0
     for j in range(1, kmin + 2):
         zi /= z
-        acc -= zi * float(sp.rgamma(q - p * j))
+        acc -= zi * _rgamma(q - p * j)
         if abs(zi) <= 1e-320:
             break
     if err <= 1e-12 * max(abs(acc), 1e-300):
@@ -187,9 +188,8 @@ def mittag_leffler(p: float, q: float, z: float) -> float:
     p, q, z = float(p), float(q), float(z)
     if not (0.0 < p < math.inf and math.isfinite(q) and math.isfinite(z)):
         raise DomainError(f"Mittag-Leffler needs finite q, z and p > 0, got p={p}, q={q}, z={z}")
-    if z == 0.0:  # the pipeline never asks for z = 0, so scipy is imported here, not at the top
-        from scipy.special import rgamma
-        return float(rgamma(q))
+    if z == 0.0:
+        return _rgamma(q)
     try:
         x = abs(z) ** (1.0 / p)
     except OverflowError:  # beyond the double range: every branch reads x = inf correctly

@@ -21,6 +21,7 @@ unit-influence terminal map, so a warm simulation is two transforms.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -78,8 +79,8 @@ class TimeGrid:
     def __post_init__(self):
         if not self.T > 0:
             raise DomainError(f"horizon must be positive, got {self.T}")
-        if self.n_steps < 2:
-            raise DomainError(f"need at least 2 steps, got {self.n_steps}")
+        if not (isinstance(self.n_steps, numbers.Integral) and self.n_steps >= 2):
+            raise DomainError(f"need an integer number of steps >= 2, got {self.n_steps!r}")
 
     @property
     def h(self) -> float:
@@ -204,6 +205,8 @@ def mild_trajectory(
     if u.shape != (n + 1,):
         raise DomainError(f"control must have {n + 1} node samples, got shape {u.shape}")
     n_modes = y0.size
+    if influence.shape != (n_modes,):
+        raise DomainError(f"y0 has {n_modes} modes but the influence has {influence.size}")
     traj = np.empty((n + 1, n_modes))
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite u is the error below
         table = _modes(alpha, grid, n_modes)

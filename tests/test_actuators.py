@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from subdiff_control.actuators import (
+    Actuator,
     dead_modes,
     eec_criterion,
     is_strategic,
@@ -58,13 +59,6 @@ class TestZoneActuator:
         act = make_zone(0.25, 0.75, 8)
         assert np.max(np.abs(act.influence[1::2])) <= 1e-14
         assert np.min(np.abs(act.influence[0::2])) > 1e-3
-
-    def test_custom_profile_passthrough_and_validation(self):
-        coeffs = np.array([0.3, -0.1, 0.0, 0.7])
-        act = make_zone(0.1, 0.4, 4, profile_coeffs=coeffs)
-        assert np.array_equal(act.influence, coeffs)
-        with pytest.raises(DomainError):
-            make_zone(0.1, 0.4, 4, profile_coeffs=np.ones(3))
 
     @pytest.mark.parametrize("bounds", [(0.5, 0.5), (0.6, 0.4), (-0.1, 0.5), (0.5, 1.1)])
     def test_invalid_bounds(self, bounds):
@@ -201,10 +195,9 @@ class TestStrategicCriteria:
         assert dead_modes(act, tgt) == [2, 4, 6]
 
     def test_tolerance_is_relative(self):
-        act = make_zone(0.1, 0.6, 4, profile_coeffs=np.array([1e8, 1e-4, 1e8, 1e8]))
         tgt = make_target([], 4)
-        assert dead_modes(act, tgt) == [2]  # 1e-4 is tiny relative to 1e8
-        assert dead_modes(act, tgt, tol=1e-14) == []
+        assert dead_modes(Actuator([1e8, 1e-4, 1e8, 1e8]), tgt) == [2]  # tiny relative to 1e8
+        assert dead_modes(Actuator([1.0, 1e-4, 1.0, 1.0]), tgt) == []
 
 
 class TestEecCriterion:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -441,3 +442,12 @@ class TestTypedErrorPaths:
         assert main(["synthesize", "--config", str(cfg_path), "--out", str(out)]) == 0
         rows = (out / "control.csv").read_text().splitlines()[1:]
         assert len(rows) == 33 and all(float(r.split(",")[1]) == 0.0 for r in rows)
+
+
+def test_no_exported_name_is_another_ones_alias():
+    public = {name: obj for name, obj in vars(subdiff_control).items()
+              if not name.startswith("_") and not isinstance(obj, types.ModuleType)}
+    names_of = {}
+    for name, obj in public.items():
+        names_of.setdefault(id(obj), []).append(name)
+    assert [names for names in names_of.values() if len(names) > 1] == []

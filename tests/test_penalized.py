@@ -14,7 +14,6 @@ from subdiff_control.penalized import (
     _caputo_matrix,
     _caputo_system,
     dynamics_residual,
-    energy,
     epsilon_sweep,
     solve_penalized,
 )
@@ -48,14 +47,6 @@ class TestBasics:
             PenalizedProblem(cfg, math.inf)
         with pytest.raises(DomainError):
             PenalizedProblem(cfg, 1e-3, residual_form="weak")
-
-    def test_energy_examples(self):
-        grid = TimeGrid(1.0, 64)
-        assert energy(np.ones(65), grid) == pytest.approx(0.5)
-        grid_pi = TimeGrid(math.pi, 512)
-        assert energy(np.sin(grid_pi.nodes), grid_pi) == pytest.approx(
-            math.pi / 4.0, rel=1e-4
-        )
 
     def test_caputo_matrix_applies_caputo_left(self):
         grid = TimeGrid(2.0, 40)
@@ -174,7 +165,7 @@ class TestSolvePenalized:
 class TestOptimality:
     """The penalized minimizer, checked against its objective alone.
 
-    J(u, z) = energy(u) + (1/(2 eps)) * weighted squared ``dynamics_residual``
+    J(u, z) = control_energy(u) + (1/(2 eps)) * weighted squared ``dynamics_residual``
     is rebuilt from its definition; no solver algebra is reused.
     """
 
@@ -187,7 +178,7 @@ class TestOptimality:
         w[[0, -1]] *= 0.5
         if form == "caputo":
             w[0] = 0.0  # the discrete Caputo operator is identically zero at t = 0
-        return energy(u, cfg.grid()) + float(np.sum(w[:, None] * res * res)) / (2.0 * eps)
+        return control_energy(u, cfg.grid()) + float(np.sum(w[:, None] * res * res)) / (2.0 * eps)
 
     CONFIGS = {
         "": {},

@@ -101,6 +101,18 @@ class TestGamma:
             gamma_fn(x)
         assert special._rgamma(x) == rgamma(x) == 0.0
 
+    def test_rgamma_on_the_algebraic_expansion_arguments(self):
+        # Every 1/Gamma(q - p j) the expansion can form (j <= 400), plus the two
+        # arguments where 1/Gamma is finite but scipy's rgamma overflows to -inf.
+        xs = [q - p * j for p in np.linspace(0.04, 0.98, 25).tolist() for q in (1.0, p)
+              for j in range(401)] + [-170.8, -170.9]
+        for x in xs:
+            got, ref = special._rgamma(x), mp.rgamma(x)
+            if abs(ref) < np.finfo(float).max:
+                assert got == pytest.approx(float(ref), rel=8 * np.finfo(float).eps, abs=0.0), x
+            else:
+                assert got == math.copysign(math.inf, float(mp.sign(ref))), x
+
 
 class TestMittagLeffler:
     def test_exp_identity_grid(self):

@@ -333,3 +333,19 @@ class TestTypedErrors:
         u[5] = np.nan
         with pytest.raises(QuadratureError):
             mild_trajectory(0.5, TimeGrid(1.0, 16), np.ones(2), np.ones(2), u)
+
+    @pytest.mark.parametrize("n_influence", [2, 4])
+    def test_influence_length_mismatch_is_a_domain_error(self, n_influence):
+        with pytest.raises(DomainError, match=f"3 modes .* {n_influence}"):
+            mild_trajectory(0.5, TimeGrid(1.0, 16), np.ones(3), np.ones(n_influence), np.zeros(17))
+
+    @pytest.mark.parametrize("n_steps", [2.5, 16.0, "16", None])
+    def test_grid_needs_an_integer_step_count(self, n_steps):
+        with pytest.raises(DomainError):
+            TimeGrid(1.0, n_steps)
+
+    def test_numpy_integer_steps_share_the_mode_table(self):
+        # _modes memoizes on the grid, so a numpy count must hash and compare as the int
+        grid = TimeGrid(1.0, np.int64(16))
+        assert grid == TimeGrid(1.0, 16) and hash(grid) == hash(TimeGrid(1.0, 16))
+        assert spectral._modes(0.5, grid, 2) is spectral._modes(0.5, TimeGrid(1.0, 16), 2)

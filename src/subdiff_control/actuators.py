@@ -6,8 +6,9 @@ coefficients b_i.  A zone actuator with flat profile on [a,b] has
     b_i = (sqrt(2)/(i pi)) (cos(i pi a) - cos(i pi b)),
 
 a pointwise actuator at b has b_i = sqrt(2) sin(i pi b).  A target subspace G
-of the truncated mode space carries its annihilator (identified with the
-orthogonal complement in coordinates) and the orthogonal projector onto it.
+is spanned by a set of eigenmodes, so its annihilator (the orthogonal
+complement, in coordinates) is the set of the other modes: every product with
+the annihilator basis is an index selection, and its transpose a scatter.
 ``dead_modes`` and ``eec_criterion`` are the two tests of ``rhum.require_reachable``.
 """
 
@@ -55,74 +56,53 @@ def make_pointwise(b: float, n_modes: int) -> Actuator:
 
 @dataclass(frozen=True)
 class TargetSubspace:
-    """Subspace G of mode space with annihilator basis and projector onto it.
+    """Subspace G spanned by a set of eigenmodes, held by the modes outside it.
 
-    ``projector`` maps a state to its component outside G; a state lies in G
-    exactly when the projection vanishes.
+    ``annihilator`` lists the 0-based indices of the modes outside G,
+    ascending and read-only: a state's annihilator coordinates are
+    ``coeffs[annihilator]``, and it lies in G exactly when they vanish.
     """
 
-    basis: np.ndarray       # (N, M) orthonormal columns spanning G
-    polar_basis: np.ndarray  # (N, N-M) orthonormal columns spanning the annihilator
-    projector: np.ndarray    # (N, N) orthogonal projector onto the annihilator
+    n_modes: int
+    annihilator: np.ndarray
 
-    @property
-    def n_modes(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-    @property
-    def polar_dim(self) -> int:
-        return self.polar_basis.shape[1]
-
-    def project(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.projector @ np.asarray(coeffs, dtype=float)
+    def embed(self, coords: np.ndarray) -> np.ndarray:
+        """The mode vector with annihilator coordinates ``coords`` and zero on G."""
+        out = np.zeros(self.n_modes)
+        out[self.annihilator] = coords
+        return out
 
     def distance_to(self, coeffs: np.ndarray) -> float:
-        return float(np.linalg.norm(self.project(coeffs)))
+        return float(np.linalg.norm(np.asarray(coeffs, dtype=float)[self.annihilator]))
 
 
 def make_target(selected, n_modes: int) -> TargetSubspace:
-    """Build G from a list of 1-based mode indices or an explicit basis matrix.
+    """Build G from a list of the 1-based indices of the modes that span it.
 
-    The annihilator is the complementary identity columns, in ascending mode
-    order, or the trailing columns of the basis matrix's complete QR.  An empty
-    list gives G = {0} (projector = identity: exact steering to 0); the full
-    index list gives the whole space (projector = 0).
+    An empty list gives G = {0} (every mode in the annihilator: exact steering
+    to 0); the full index list gives the whole space (an empty annihilator).
     """
-    if isinstance(selected, np.ndarray) and selected.ndim == 2:
-        mat = np.asarray(selected, dtype=float)
-        if mat.shape[0] != n_modes:
-            raise DomainError(
-                f"basis matrix must have {n_modes} rows, got {mat.shape[0]}"
-            )
-        if np.linalg.matrix_rank(mat, tol=1e-10) < mat.shape[1]:
-            raise DomainError("basis matrix columns are linearly dependent")
-        q, _ = np.linalg.qr(mat, mode="complete")
-        basis, polar = q[:, : mat.shape[1]], q[:, mat.shape[1]:]
-    else:
-        idx = sorted(int(i) for i in selected)
-        if any(i < 1 or i > n_modes for i in idx):
-            raise DomainError(f"mode indices must lie in 1..{n_modes}, got {idx}")
-        if len(set(idx)) != len(idx):
-            raise DomainError(f"duplicate mode indices in {idx}")
-        full = np.eye(n_modes)
-        basis = full[:, [i - 1 for i in idx]]
-        polar = full[:, [i for i in range(n_modes) if i + 1 not in idx]]
-    return TargetSubspace(basis, polar, polar @ polar.T)
+    modes = selected.tolist() if isinstance(selected, np.ndarray) else selected
+    if not (isinstance(modes, (list, tuple)) and all(
+            isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in modes)):
+        raise DomainError(f"target modes must be a list of integer mode indices, got {selected!r}")
+    idx = sorted(int(i) for i in modes)
+    if any(i < 1 or i > n_modes for i in idx):
+        raise DomainError(f"mode indices must lie in 1..{n_modes}, got {idx}")
+    if len(set(idx)) != len(idx):
+        raise DomainError(f"duplicate mode indices in {idx}")
+    outside = np.ones(n_modes, dtype=bool)
+    outside[[i - 1 for i in idx]] = False
+    annihilator = np.flatnonzero(outside)
+    annihilator.setflags(write=False)
+    return TargetSubspace(n_modes, annihilator)
 
 
 def dead_modes(actuator: Actuator, target: TargetSubspace):
     """Mode indices (1-based) with vanishing influence that the annihilator touches."""
     b = actuator.influence
     cut = STRATEGIC_TOL * (float(np.max(np.abs(b))) if b.size else 0.0)
-    out = []
-    for i in range(b.size):
-        if abs(b[i]) <= cut and np.max(np.abs(target.polar_basis[i, :]), initial=0.0) > 1e-12:
-            out.append(i + 1)
-    return out
+    return [i + 1 for i in target.annihilator.tolist() if abs(b[i]) <= cut]
 
 
 def is_strategic(actuator: Actuator, target: TargetSubspace) -> dict:

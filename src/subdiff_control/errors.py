@@ -36,8 +36,8 @@ class InfeasibleError(SubdiffError, RuntimeError):
 class NonStrategicError(InfeasibleError):
     """The annihilator touches a dead mode while the free final state leaves the target.
 
-    ``dead_modes`` lists the 1-based mode indices with (numerically)
-    vanishing influence that carry a component of the polar basis.
+    ``dead_modes`` lists the 1-based indices of the annihilator's modes with
+    (numerically) vanishing influence.
     """
 
     def __init__(self, dead_modes, message=None):

@@ -7,11 +7,12 @@ Letting eps -> 0 recovers the constrained minimum-energy control, which is
 compared row by row against the adjoint-seed synthesis.
 
 Eliminating z reduces both residual forms to one ridge solve,
-(A W^-1 A^T + eps L L^T) phi = c, u = A^T phi / w, with L L^T = P^T diag(s) P
-(``_ridge``): one thin SVD of W^-1/2 A^T L^-T = U diag(sigma) V^T makes each eps
-the Tikhonov filter phi = L^-T V diag(1/(sigma^2 + eps)) V^T L^-1 c.  A maps
-control node samples to annihilator coordinates of the final state, P is the
-annihilator basis and s_i the terminal sensitivity of mode i to its residual.
+(A W^-1 A^T + eps diag(s_a)) phi = c, u = A^T phi / w (``_ridge``), where A maps
+control node samples to annihilator coordinates of the final state, s_i is the
+terminal sensitivity of mode i to its residual and s_a its annihilator entries.
+The target is a set of modes, so the shift is diagonal and its whitening a row
+scale by r = 1/sqrt(s_a): one thin SVD of W^-1/2 A^T diag(r) = U diag(sigma) V^T
+makes each eps the Tikhonov filter phi = r V diag(1/(sigma^2 + eps)) V^T (r c).
 The forms differ only in A, c, s and in how z is recovered, so each has one
 builder of that system on the problem's ``rhum.SteeringSystem``:
 
@@ -107,19 +108,20 @@ class PenalizedSolution:
     residual_norm: float       # weighted L2 norm of the dynamics residual
 
 
-def _ridge(A, w, c, P, s):
-    """``solve(eps)``: minimize (1/2) u^T W u + (1/(2 eps)) sum_i t_i^2 / s_i s.t. A u + P^T t = c.
+def _ridge(A, w, c, target, s):
+    """``solve(eps)``: minimize (1/2) u^T W u + (1/(2 eps)) sum_i t_i^2 / s_i s.t. A u + t[ann] = c.
 
     t_i is the shift of z_i(T) that the residual buys, at least weighted
-    squared residual t_i^2 / s_i.  ``solve`` returns (u, t, residual_norm).
+    squared residual t_i^2 / s_i; it vanishes on G.  ``solve`` returns
+    (u, t, residual_norm).
     """
-    L_inv = np.linalg.inv(np.linalg.cholesky((P.T * s) @ P))
-    _, sigma, Vt = Gramian((L_inv @ (A / np.sqrt(w))).T).svd
-    d = Vt @ (L_inv @ c)
+    r = 1.0 / np.sqrt(s[target.annihilator])
+    _, sigma, Vt = Gramian((r[:, None] * (A / np.sqrt(w))).T).svd
+    d = Vt @ (r * c)
 
     def solve(eps: float):
-        phi = L_inv.T @ (Vt.T @ (d / (sigma**2 + eps)))
-        t = eps * s * (P @ phi)
+        phi = r * (Vt.T @ (d / (sigma**2 + eps)))
+        t = eps * s * target.embed(phi)
         return (A.T @ phi) / w, t, float(np.sqrt(np.sum(t * t / s)))
 
     return solve
@@ -134,10 +136,10 @@ def _mild_system(config: ProblemConfig, system: SteeringSystem):
     def recover(u, t):
         z = mild_trajectory(config.alpha, system.grid, config.y0_array(), influence, u)
         # the hard terminal constraint: the penalized z(T) lies in G
-        z[-1] -= target.project(z[-1])
+        z[-1, target.annihilator] = 0.0
         return z
 
-    return (system.A, w, system.c, target.polar_basis, s), recover
+    return (system.A, w, system.c, target, s), recover
 
 
 def _caputo_system(config: ProblemConfig, system: SteeringSystem):
@@ -153,7 +155,7 @@ def _caputo_system(config: ProblemConfig, system: SteeringSystem):
     """
     grid, w = system.grid, system.grid.weights
     b = system.actuator.influence
-    P = system.target.polar_basis
+    target = system.target
     y0 = config.y0_array()
     lam = eigenvalues(config.n_modes)
     # The strong-form residual is meaningless at t = 0 (the discrete Caputo
@@ -169,7 +171,7 @@ def _caputo_system(config: ProblemConfig, system: SteeringSystem):
         L[i] = np.linalg.solve(Dr.T, e_last)
     np.fill_diagonal(Dr, diag)
     s = np.sum(L * L / w_r, axis=1)
-    A = np.pad(P.T @ (b[:, None] * L), ((0, 0), (1, 0)))  # node 0 has no influence
+    A = np.pad((b[:, None] * L)[target.annihilator], ((0, 0), (1, 0)))  # node 0 has no influence
 
     def recover(u, t):
         z = np.empty((grid.n_steps + 1, config.n_modes))
@@ -180,10 +182,10 @@ def _caputo_system(config: ProblemConfig, system: SteeringSystem):
             z[1:, i] = np.linalg.solve(Dr, b[i] * u[1:] - m * y0[i] + rho)
         return z
 
-    return (A, w, P.T @ (y0 * (L @ m)), P, s), recover
+    return (A, w, (y0 * (L @ m))[target.annihilator], target, s), recover
 
 
-# Ridge system (A, w, c, P, s) of each residual form and its z(u, t) recovery
+# Ridge system (A, w, c, target, s) of each residual form and its z(u, t) recovery
 _BUILDERS = {"mild": _mild_system, "caputo": _caputo_system}
 
 

@@ -79,7 +79,7 @@ def observation(actuator: Actuator, adjoint: AdjointState, t: float) -> float:
 
 @dataclass(frozen=True)
 class Gramian:
-    """Quadratic observation form G = B^T B = V diag(sigma^2) V^T on the annihilator basis."""
+    """Quadratic observation form G = B^T B = V diag(sigma^2) V^T in annihilator coordinates."""
 
     factor: np.ndarray  # B: a row per control sample or quadrature node
 
@@ -89,10 +89,6 @@ class Gramian:
         if B.shape[0] < B.shape[1]:  # zero rows make V square: sigma^2 is all of G's spectrum
             B = np.vstack([B, np.zeros((B.shape[1] - B.shape[0], B.shape[1]))])
         return np.linalg.svd(B, full_matrices=False)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        return self.factor.T @ self.factor
 
     def min_eigenvalue(self) -> float:
         sigma = self.svd[1]
@@ -137,8 +133,8 @@ def assemble_gramian(actuator: Actuator, target: TargetSubspace, alpha: float, T
     v = (x + 1.0) * half
     emat = mittag_leffler_array(alpha, alpha, np.outer(eigenvalues(actuator.n_modes), v))
     scale = (1.0 / alpha) * half ** (beta + 1.0)
-    pb = actuator.influence[:, None] * target.polar_basis
-    factor = np.sqrt(scale * wq)[:, None] * (emat.T @ pb)
+    ann = target.annihilator
+    factor = np.sqrt(scale * wq)[:, None] * (emat.T[:, ann] * actuator.influence[ann])
     if not np.all(np.isfinite(factor)):
         raise QuadratureError("Gramian quadrature produced non-finite entries")
     return Gramian(factor)
@@ -150,7 +146,7 @@ def discrete_gramian(actuator: Actuator, target: TargetSubspace, alpha: float, g
     Returns (Gramian, A, w) where A maps control node samples to annihilator
     coordinates of the controlled final state and w = ``grid.weights``.
     """
-    A = target.polar_basis.T @ terminal_control_map(alpha, grid, actuator.influence)
+    A = terminal_control_map(alpha, grid, actuator.influence)[target.annihilator]
     w = grid.weights
     return Gramian(A.T / np.sqrt(w)[:, None]), A, w
 
@@ -169,7 +165,7 @@ class SteeringSystem:
     grid: TimeGrid         # its ``weights`` are the trapezoid weights w
     gramian: Gramian
     A: np.ndarray          # control node samples -> annihilator coordinates of y(T)
-    c: np.ndarray          # -P^T R(T) y0, the annihilator coordinates to cancel
+    c: np.ndarray          # -(R(T) y0)[annihilator], the annihilator coordinates to cancel
     dead_modes: list       # 1-based modes the annihilator touches with no influence
 
 
@@ -180,7 +176,7 @@ def steering_system(config: ProblemConfig) -> SteeringSystem:
     grid = config.grid()
     gram, A, _ = discrete_gramian(actuator, target, config.alpha, grid)
     free_T = _modes(config.alpha, grid, config.n_modes).factors[:, -1] * config.y0_array()
-    c = -(target.polar_basis.T @ free_T)
+    c = -free_T[target.annihilator]
     return SteeringSystem(actuator, target, grid, gram, A, c, dead_modes(actuator, target))
 
 
@@ -211,7 +207,7 @@ def require_reachable(system: SteeringSystem, verify_distance: float) -> None:
 @dataclass(frozen=True)
 class RhumSolution:
     phi0: np.ndarray          # adjoint seed in full mode coordinates (in the annihilator)
-    phi_hat: np.ndarray       # its coordinates against the annihilator basis
+    phi_hat: np.ndarray       # its annihilator coordinates
     u_star: np.ndarray        # control node samples on the grid
     residual: float           # relative residual of the Gramian solve
     system: SteeringSystem
@@ -255,7 +251,7 @@ def solve_rhum(config: ProblemConfig) -> RhumSolution:
         raise _rank_refusal(system, miss, vd)
     phi_hat = Vt[:k].T @ (coef / sigma[:k])
     resid = miss / float(np.linalg.norm(c))  # = |G phi_hat - c| / |c|
-    return RhumSolution(system.target.polar_basis @ phi_hat, phi_hat, u_star, resid, system)
+    return RhumSolution(system.target.embed(phi_hat), phi_hat, u_star, resid, system)
 
 
 @dataclass(frozen=True)

@@ -77,8 +77,9 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise DomainError(f"horizon must be positive, got {self.T}")
+        if not (isinstance(self.T, numbers.Real) and not isinstance(self.T, bool)
+                and 0.0 < self.T < math.inf):
+            raise DomainError(f"horizon must be a finite positive number, got {self.T!r}")
         if not (isinstance(self.n_steps, numbers.Integral) and self.n_steps >= 2):
             raise DomainError(f"need an integer number of steps >= 2, got {self.n_steps!r}")
 

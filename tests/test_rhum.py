@@ -91,16 +91,15 @@ class TestContinuousGramian:
         alpha, T = 0.7, 1.0
         act = make_zone(0.2, 0.5, 3)
         tgt = make_target([3], 3)  # annihilator spanned by e1, e2
-        gram = assemble_gramian(act, tgt, alpha, T).matrix
+        factor = assemble_gramian(act, tgt, alpha, T).factor
+        gram = factor.T @ factor
         lam = eigenvalues(3)
         b = act.influence
-        # column r of the annihilator basis is +/- a coordinate vector; map it
-        # back to its mode index so the Gramian entries line up with the oracle
-        col_mode = [int(np.argmax(np.abs(tgt.polar_basis[:, r]))) for r in range(2)]
+        # annihilator coordinate r is mode tgt.annihilator[r]
         # quad's (i, l) and (l, i) integrands evaluate the same arguments
         ml = functools.lru_cache(maxsize=None)(mittag_leffler)
-        for r, i in enumerate(col_mode):
-            for s, l in enumerate(col_mode):
+        for r, i in enumerate(tgt.annihilator):
+            for s, l in enumerate(tgt.annihilator):
                 val, _ = quad(
                     lambda t: ml(alpha, alpha, lam[i] * t**alpha)
                     * ml(alpha, alpha, lam[l] * t**alpha),
@@ -117,7 +116,8 @@ class TestContinuousGramian:
         alpha, T = 0.999, 0.5
         act = make_zone(0.2, 0.5, 3)
         tgt = make_target([], 3)
-        gram = assemble_gramian(act, tgt, alpha, T).matrix
+        factor = assemble_gramian(act, tgt, alpha, T).factor
+        gram = factor.T @ factor
         lam = eigenvalues(3)
         for i in range(3):
             classical = act.influence[i] ** 2 * (math.exp(2 * lam[i] * T) - 1.0) / (2 * lam[i])
@@ -136,20 +136,23 @@ class TestDiscreteGramian:
         act = make_pointwise(1.0 / 3.0, 3)  # mode 3 uninfluenced
         tgt = make_target([], 3)
         gram, A, w = discrete_gramian(act, tgt, 0.5, TimeGrid(1.0, 64))
-        assert np.max(np.abs(gram.matrix[2, :])) <= 1e-12
-        assert np.max(np.abs(gram.matrix[:, 2])) <= 1e-12
+        G = gram.factor.T @ gram.factor
+        assert np.max(np.abs(G[2, :])) <= 1e-12
+        assert np.max(np.abs(G[:, 2])) <= 1e-12
         assert gram.min_eigenvalue() <= 1e-12
 
     def test_matches_continuous_gramian_on_fine_grids(self):
         alpha, T = 0.75, 1.0
         act = make_zone(0.2, 0.5, 3)
         tgt = make_target([3], 3)
-        cont = assemble_gramian(act, tgt, alpha, T).matrix
+        factor = assemble_gramian(act, tgt, alpha, T).factor
+        cont = factor.T @ factor
         # the kernel-squared endpoint singularity limits the rate to h^(2a-1),
         # so check convergence toward the continuous values, not equality
         errs = []
         for n in (256, 1024):
-            disc = discrete_gramian(act, tgt, alpha, TimeGrid(T, n))[0].matrix
+            factor = discrete_gramian(act, tgt, alpha, TimeGrid(T, n))[0].factor
+            disc = factor.T @ factor
             errs.append(np.max(np.abs(disc - cont)) / np.max(np.abs(cont)))
         assert errs[1] < errs[0]
         assert errs[1] <= 0.1
@@ -159,7 +162,7 @@ class TestDiscreteGramian:
         tgt = make_target([3, 4], 4)
         grid = TimeGrid(2.0, 10)
         gram, A, w = discrete_gramian(act, tgt, 0.5, grid)
-        assert gram.matrix.shape == (2, 2)
+        assert (gram.factor.T @ gram.factor).shape == (2, 2)
         assert A.shape == (2, 11)
         assert w.sum() == pytest.approx(2.0)
         assert w[0] == w[-1] == pytest.approx(0.1)
@@ -194,7 +197,7 @@ class TestSolve:
         tgt = cfg.build_target()
         gram, A, w = discrete_gramian(act, tgt, cfg.alpha, cfg.grid())
         c = -float(final_free_state(cfg.alpha, cfg.T, cfg.y0_array()).coeffs[0])
-        phi = c / gram.matrix[0, 0]
+        phi = c / float(gram.factor[:, 0] @ gram.factor[:, 0])
         assert sol.phi_hat[0] == pytest.approx(phi, rel=1e-12)
         assert np.allclose(sol.u_star, phi * A[0] / w, rtol=1e-12)
 

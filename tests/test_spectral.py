@@ -344,6 +344,11 @@ class TestTypedErrors:
         with pytest.raises(DomainError):
             TimeGrid(1.0, n_steps)
 
+    @pytest.mark.parametrize("T", [math.inf, -math.inf, math.nan, -1.0, 0.0, "1.0", None, True])
+    def test_grid_needs_a_finite_positive_horizon(self, T):
+        with pytest.raises(DomainError, match="horizon"):
+            TimeGrid(T, 4)
+
     def test_numpy_integer_steps_share_the_mode_table(self):
         # _modes memoizes on the grid, so a numpy count must hash and compare as the int
         grid = TimeGrid(1.0, np.int64(16))

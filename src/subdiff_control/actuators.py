@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .spectral import SQRT2
+from .spectral import SQRT2, _is_real
 
 STRATEGIC_TOL = 1e-10  # relative to max |b_i|
 
@@ -40,16 +40,16 @@ class Actuator:
 
 def make_zone(a: float, b: float, n_modes: int) -> Actuator:
     """Zone actuator with flat profile on [a, b]: the closed-form integral of w_i over it."""
-    if not (0.0 <= a < b <= 1.0):
-        raise DomainError(f"zone must satisfy 0 <= a < b <= 1, got [{a}, {b}]")
+    if not (_is_real(a) and _is_real(b) and 0.0 <= a < b <= 1.0):
+        raise DomainError(f"zone must satisfy 0 <= a < b <= 1, got a={a!r}, b={b!r}")
     i = np.arange(1, n_modes + 1, dtype=float)
     return Actuator((SQRT2 / (i * np.pi)) * (np.cos(i * np.pi * a) - np.cos(i * np.pi * b)))
 
 
 def make_pointwise(b: float, n_modes: int) -> Actuator:
     """Pointwise actuator at location b in (0,1): b_i = w_i(b)."""
-    if not 0.0 < b < 1.0:
-        raise DomainError(f"pointwise location must lie strictly in (0,1), got {b}")
+    if not (_is_real(b) and 0.0 < b < 1.0):
+        raise DomainError(f"pointwise location must lie strictly in (0,1), got {b!r}")
     i = np.arange(1, n_modes + 1, dtype=float)
     return Actuator(SQRT2 * np.sin(i * np.pi * b))
 

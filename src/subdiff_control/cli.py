@@ -214,7 +214,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed the help (exit 0) or a usage error
+        return EXIT_CONFIG if exc.code else 0
     try:
         config = load_config(args.config)
         out = Path(args.out)

@@ -9,20 +9,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .actuators import Actuator, TargetSubspace, make_pointwise, make_target, make_zone
-from .errors import ConfigError
-from .spectral import TimeGrid
+from .errors import ConfigError, DomainError
+from .spectral import TimeGrid, _is_real
 
-
-def _is_number(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _is_array(v) -> bool:
-    return isinstance(v, (list, tuple, np.ndarray))
+_ACTUATOR_FIELDS = {"zone": {"kind", "a", "b"}, "pointwise": {"kind", "b"}}
 
 
 @dataclass(frozen=True)
@@ -31,7 +21,7 @@ class Tolerances:
 
     def __post_init__(self):
         v = self.verify_distance
-        if not (_is_number(v) and 0 < v < np.inf):
+        if not (_is_real(v) and 0 < v < np.inf):
             raise ConfigError("tolerances.verify_distance", f"must lie in (0, inf), got {v!r}")
 
 
@@ -55,7 +45,7 @@ class ProblemConfig:
 
     def __post_init__(self):
         for name in ("alpha", "T"):
-            if not _is_number(getattr(self, name)):
+            if not _is_real(getattr(self, name)):
                 raise ConfigError(name, f"must be a number, got {getattr(self, name)!r}")
             object.__setattr__(self, name, float(getattr(self, name)))
         if not 0.0 < self.alpha < 1.0:
@@ -64,10 +54,11 @@ class ProblemConfig:
             raise ConfigError("T", f"must be positive and finite, got {self.T!r}")
         for name, low in (("n_modes", 1), ("n_steps", 2)):
             v = getattr(self, name)
-            if not (_is_int(v) and v >= low):
+            if not (isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= low):
                 raise ConfigError(name, f"must be an integer >= {low}, got {v!r}")
             object.__setattr__(self, name, int(v))
-        if not (_is_array(self.y0) and all(_is_number(v) for v in self.y0)):
+        y0_is_array = isinstance(self.y0, (list, tuple, np.ndarray))
+        if not (y0_is_array and all(_is_real(v) for v in self.y0)):
             raise ConfigError("y0", f"must be an array of numbers, got {self.y0!r}")
         y0 = tuple(float(v) for v in self.y0)
         object.__setattr__(self, "y0", y0)
@@ -79,29 +70,18 @@ class ProblemConfig:
             raise ConfigError("actuator", f"must be an object, got {self.actuator!r}")
         act = dict(self.actuator)
         object.__setattr__(self, "actuator", act)
-        kind = act.get("kind")
-        if kind == "zone":
-            a, b = act.get("a"), act.get("b")
-            if not (_is_number(a) and _is_number(b) and 0.0 <= a < b <= 1.0):
-                raise ConfigError("actuator", f"zone needs 0 <= a < b <= 1, got a={a!r}, b={b!r}")
-        elif kind == "pointwise":
-            b = act.get("b")
-            if not (_is_number(b) and 0.0 < b < 1.0):
-                raise ConfigError("actuator", f"pointwise needs b strictly in (0,1), got {b!r}")
-        else:
-            raise ConfigError("actuator.kind", f"must be 'zone' or 'pointwise', got {kind!r}")
-        if not (_is_array(self.target_modes) and all(_is_int(i) for i in self.target_modes)):
-            raise ConfigError(
-                "target_modes", f"must be an array of integers, got {self.target_modes!r}"
-            )
-        modes = tuple(int(i) for i in self.target_modes)
-        object.__setattr__(self, "target_modes", modes)
-        if any(i < 1 or i > self.n_modes for i in modes):
-            raise ConfigError(
-                "target_modes", f"indices must lie in 1..{self.n_modes}, got {list(modes)}"
-            )
-        if len(set(modes)) != len(modes):
-            raise ConfigError("target_modes", f"duplicate indices in {list(modes)}")
+        kind, kinds = act.get("kind"), tuple(_ACTUATOR_FIELDS)
+        if kind not in kinds:  # a tuple: an unhashable kind compares unequal, it does not raise
+            raise ConfigError("actuator.kind", f"must be one of {kinds}, got {kind!r}")
+        if set(act) != _ACTUATOR_FIELDS[kind]:
+            fields = sorted(_ACTUATOR_FIELDS[kind])
+            raise ConfigError("actuator", f"a {kind} actuator has exactly {fields}, got {act!r}")
+        for name, build in (("actuator", self.build_actuator), ("target_modes", self.build_target)):
+            try:
+                build()
+            except DomainError as exc:
+                raise ConfigError(name, str(exc)) from exc
+        object.__setattr__(self, "target_modes", tuple(int(i) for i in self.target_modes))
         if not isinstance(self.tolerances, Tolerances):
             raise ConfigError("tolerances", "must be a Tolerances instance")
 
@@ -118,7 +98,7 @@ class ProblemConfig:
         return make_pointwise(self.actuator["b"], self.n_modes)
 
     def build_target(self) -> TargetSubspace:
-        return make_target(list(self.target_modes), self.n_modes)
+        return make_target(self.target_modes, self.n_modes)
 
     # --- serialization --------------------------------------------------
     def to_dict(self) -> dict:
@@ -145,6 +125,9 @@ def loads_config(data: dict) -> ProblemConfig:
     for key in required:
         if key not in data:
             raise ConfigError(key, "missing required field")
+    for key in data:
+        if key not in required and key != "tolerances":
+            raise ConfigError(key, "unknown field")
     tol_data = data.get("tolerances", {})
     if not isinstance(tol_data, dict):
         raise ConfigError("tolerances", "must be an object")

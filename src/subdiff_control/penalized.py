@@ -6,23 +6,21 @@ squared dynamics residual of the trajectory, while the terminal condition
 Letting eps -> 0 recovers the constrained minimum-energy control, which is
 compared row by row against the adjoint-seed synthesis.
 
-Eliminating z reduces both residual forms to one ridge solve,
-(A W^-1 A^T + eps diag(s_a)) phi = c, u = A^T phi / w (``_ridge``), where A maps
-control node samples to annihilator coordinates of the final state, s_i is the
-terminal sensitivity of mode i to its residual and s_a its annihilator entries.
-The target is a set of modes, so the shift is diagonal and its whitening a row
-scale by r = 1/sqrt(s_a): one thin SVD of W^-1/2 A^T diag(r) = U diag(sigma) V^T
-makes each eps the Tikhonov filter phi = r V diag(1/(sigma^2 + eps)) V^T (r c).
-The forms differ only in A, c, s and in how z is recovered, so each has one
-builder of that system on the problem's ``rhum.SteeringSystem``:
+Eliminating z reduces both residual forms to one ridge solve with a scalar
+shift, (G + eps shift I) phi = c, u = A^T phi / w (``_ridge``), where A maps
+control node samples to annihilator coordinates of the final state and
+G = A W^-1 A^T is a ``rhum.Gramian``: its thin SVD makes each eps the Tikhonov
+filter phi = V diag(1/(sigma^2 + eps shift)) V^T c.  The forms differ only in
+A, c, the shift and in how z is recovered, so each has one builder of that
+system on the problem's ``rhum.SteeringSystem``:
 
 * ``"mild"`` (default): residual = z - (free state + control convolution),
   the defect against the mild-solution simulator.  Before T the trajectory
   is unconstrained, so the optimal residual vanishes there; at T it shifts
-  z(T) directly with the trapezoid end weight, s_i = 1 / w_T.  G and A are
-  the steering system's own, so this is the ridge-regularized Gramian solve
-  (G + (eps / w_T) I) phi = c.  As eps -> 0 it tends to the synthesis
-  control; it checks the solve, not the discretization.
+  z(T) directly with the trapezoid end weight, so shift = 1 / w_T.  G, its
+  SVD and A are the steering system's own: no second factorization.  As
+  eps -> 0 it tends to the synthesis control; it checks the solve, not the
+  discretization.
 * ``"caputo"``: residual = (discrete Caputo derivative of z) - lambda z - b u
   using the L1-style product quadrature, the literal strong-form defect.
   Each mode of the scheme gives z from u and the residual, so A is the
@@ -30,7 +28,8 @@ builder of that system on the problem's ``rhum.SteeringSystem``:
   eps -> 0 limit is the minimum-energy control of the *L1-discretized*
   dynamics, which differs from the mild-solution control by the scheme gap;
   this is the independent cross-check of the synthesis.  It costs one O(n^2)
-  Caputo matrix and N LU solves of it, each shifted in place by lambda_i.
+  Caputo matrix, N LU solves of it, each shifted in place by lambda_i, and
+  the SVD of its own row-scaled Gramian.
 """
 
 from __future__ import annotations
@@ -50,13 +49,19 @@ from .rhum import (
     solve_rhum,
     steering_system,
 )
-from .spectral import TimeGrid, eigenvalues, mild_trajectory
+from .spectral import TimeGrid, _is_real, eigenvalues, mild_trajectory
 from .special import gamma_fn
 
 
 def _check_form(form: str) -> None:
     if form not in _BUILDERS:
         raise DomainError(f"residual_form must be one of {tuple(_BUILDERS)}, got {form!r}")
+
+
+def _check_eps(eps) -> float:
+    if not (_is_real(eps) and 0 < eps < np.inf):
+        raise DomainError(f"penalty parameter must be a positive finite number, got {eps!r}")
+    return float(eps)
 
 
 @dataclass(frozen=True)
@@ -66,8 +71,7 @@ class PenalizedProblem:
     residual_form: str = "mild"
 
     def __post_init__(self):
-        if not 0 < self.epsilon < np.inf:
-            raise DomainError(f"penalty parameter must be positive and finite, got {self.epsilon}")
+        _check_eps(self.epsilon)
         _check_form(self.residual_form)
 
 
@@ -108,30 +112,28 @@ class PenalizedSolution:
     residual_norm: float       # weighted L2 norm of the dynamics residual
 
 
-def _ridge(A, w, c, target, s):
-    """``solve(eps)``: minimize (1/2) u^T W u + (1/(2 eps)) sum_i t_i^2 / s_i s.t. A u + t[ann] = c.
+def _ridge(gram: Gramian, A, w, c, shift: float):
+    """``solve(eps)``: minimize (1/2) u^T W u + |t|^2 / (2 eps shift) s.t. A u + t = c.
 
-    t_i is the shift of z_i(T) that the residual buys, at least weighted
-    squared residual t_i^2 / s_i; it vanishes on G.  ``solve`` returns
-    (u, t, residual_norm).
+    ``gram`` is A W^-1 A^T as a ``rhum.Gramian``.  t, in annihilator
+    coordinates, is the shift of z(T) that the residual buys, at weighted
+    squared residual |t|^2 / shift.  ``solve`` returns (u, t, residual_norm).
     """
-    r = 1.0 / np.sqrt(s[target.annihilator])
-    _, sigma, Vt = Gramian((r[:, None] * (A / np.sqrt(w))).T).svd
-    d = Vt @ (r * c)
+    _, sigma, Vt = gram.svd
+    d = Vt @ c
 
     def solve(eps: float):
-        phi = r * (Vt.T @ (d / (sigma**2 + eps)))
-        t = eps * s * target.embed(phi)
-        return (A.T @ phi) / w, t, float(np.sqrt(np.sum(t * t / s)))
+        phi = Vt.T @ (d / (sigma**2 + eps * shift))
+        t = (eps * shift) * phi
+        return (A.T @ phi) / w, t, float(np.sqrt(np.dot(t, t) / shift))
 
     return solve
 
 
 def _mild_system(config: ProblemConfig, system: SteeringSystem):
-    """The steering system itself with s_i = 1 / w_T; z is the simulated trajectory."""
+    """The steering system itself with shift 1 / w_T; z is the simulated trajectory."""
     target, influence = system.target, system.actuator.influence
     w = system.grid.weights
-    s = np.full(config.n_modes, 1.0 / w[-1])
 
     def recover(u, t):
         z = mild_trajectory(config.alpha, system.grid, config.y0_array(), influence, u)
@@ -139,23 +141,25 @@ def _mild_system(config: ProblemConfig, system: SteeringSystem):
         z[-1, target.annihilator] = 0.0
         return z
 
-    return (system.A, w, system.c, target, s), recover
+    return (system.gramian, system.A, w, system.c, 1.0 / w[-1]), recover
 
 
 def _caputo_system(config: ProblemConfig, system: SteeringSystem):
-    """Terminal map of the L1 scheme; z is recovered from u and the residual.
+    """Terminal map of the L1 scheme, rows scaled to a unit shift; z is recovered from u and t.
 
     Per mode, with z_i(0) = y0_i pinned and rho_i the residual on nodes 1..n,
     z_i[1:] = M_i^-1 (b_i u[1:] - m y0_i + rho_i), M_i = (D - lambda_i I)[1:, 1:],
     m = D[1:, 0].  So z_i(T) = l_i^T (...) with l_i = M_i^-T e_last, and the
     cheapest rho_i that shifts z_i(T) by t_i is (t_i / s_i) W_r^-1 l_i with
-    s_i = l_i^T W_r^-1 l_i.  Each M_i is D's block with its diagonal assigned in
-    place, and recovering z solves it again: N kept copies or factors would add
-    N n^2 doubles to a sweep's peak of about 2 (n+1)^2.
+    s_i = l_i^T W_r^-1 l_i; scaling row i of A and c by r_i = 1/sqrt(s_i) gives
+    a unit shift in t' = r t, and t_i / s_i = r_i t'_i.  Each M_i is D's block
+    with its diagonal assigned in place, and recovering z solves it again: N
+    kept copies or factors would add N n^2 doubles to a sweep's peak of about
+    2 (n+1)^2.
     """
     grid, w = system.grid, system.grid.weights
     b = system.actuator.influence
-    target = system.target
+    target, ann = system.target, system.target.annihilator
     y0 = config.y0_array()
     lam = eigenvalues(config.n_modes)
     # The strong-form residual is meaningless at t = 0 (the discrete Caputo
@@ -170,22 +174,23 @@ def _caputo_system(config: ProblemConfig, system: SteeringSystem):
         np.fill_diagonal(Dr, diag - li)  # M_i: every use assigns, never shifts back, so exact
         L[i] = np.linalg.solve(Dr.T, e_last)
     np.fill_diagonal(Dr, diag)
-    s = np.sum(L * L / w_r, axis=1)
-    A = np.pad((b[:, None] * L)[target.annihilator], ((0, 0), (1, 0)))  # node 0 has no influence
+    r = 1.0 / np.sqrt(np.sum(L[ann] ** 2 / w_r, axis=1))
+    A = np.pad(r[:, None] * b[ann, None] * L[ann], ((0, 0), (1, 0)))  # node 0 has no influence
+    c = r * y0[ann] * (L[ann] @ m)
 
     def recover(u, t):
+        tau = target.embed(r * t)  # t_i / s_i per mode
         z = np.empty((grid.n_steps + 1, config.n_modes))
         z[0] = y0
         for i, li in enumerate(lam):
-            rho = (t[i] / s[i]) * L[i] / w_r
             np.fill_diagonal(Dr, diag - li)
-            z[1:, i] = np.linalg.solve(Dr, b[i] * u[1:] - m * y0[i] + rho)
+            z[1:, i] = np.linalg.solve(Dr, b[i] * u[1:] - m * y0[i] + tau[i] * L[i] / w_r)
         return z
 
-    return (A, w, (y0 * (L @ m))[target.annihilator], target, s), recover
+    return (Gramian(A.T / np.sqrt(w)[:, None]), A, w, c, 1.0), recover
 
 
-# Ridge system (A, w, c, target, s) of each residual form and its z(u, t) recovery
+# Ridge system (gram, A, w, c, shift) of each residual form and its z(u, t) recovery
 _BUILDERS = {"mild": _mild_system, "caputo": _caputo_system}
 
 
@@ -219,13 +224,12 @@ def epsilon_sweep(
     distance of the penalized control to the adjoint-seed synthesis control,
     relative to the latter's norm.
     """
-    eps = [float(e) for e in eps_list]
-    if len(eps) == 0:
-        raise DomainError("eps_list must not be empty")
-    if not all(0 < e < np.inf for e in eps):
-        raise DomainError(f"eps values must be positive and finite, got {eps}")
-    if any(b >= a for a, b in zip(eps, eps[1:])):
-        raise DomainError(f"eps values must be strictly decreasing, got {eps}")
+    try:
+        eps = [_check_eps(e) for e in eps_list]
+    except TypeError:
+        raise DomainError(f"eps_list must be an iterable of numbers, got {eps_list!r}") from None
+    if not eps or any(b >= a for a, b in zip(eps, eps[1:])):
+        raise DomainError(f"eps values must be non-empty and strictly decreasing, got {eps}")
     _check_form(residual_form)
     ref = solve_rhum(config)
     solve = _ridge(*_BUILDERS[residual_form](config, ref.system)[0])

@@ -37,6 +37,11 @@ SQRT2 = math.sqrt(2.0)
 TABLE_CACHE_SIZE = 8
 
 
+def _is_real(v) -> bool:
+    """A real number and not a bool: the package's one rule for a numeric input."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class SpectralField:
     """A state as N coefficients against the orthonormal eigenbasis."""
@@ -77,8 +82,7 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not (isinstance(self.T, numbers.Real) and not isinstance(self.T, bool)
-                and 0.0 < self.T < math.inf):
+        if not (_is_real(self.T) and 0.0 < self.T < math.inf):
             raise DomainError(f"horizon must be a finite positive number, got {self.T!r}")
         if not (isinstance(self.n_steps, numbers.Integral) and self.n_steps >= 2):
             raise DomainError(f"need an integer number of steps >= 2, got {self.n_steps!r}")

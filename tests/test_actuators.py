@@ -60,7 +60,9 @@ class TestZoneActuator:
         assert np.max(np.abs(act.influence[1::2])) <= 1e-14
         assert np.min(np.abs(act.influence[0::2])) > 1e-3
 
-    @pytest.mark.parametrize("bounds", [(0.5, 0.5), (0.6, 0.4), (-0.1, 0.5), (0.5, 1.1)])
+    # a bound must be a real number: a bool would read as 0 or 1
+    @pytest.mark.parametrize("bounds", [(0.5, 0.5), (0.6, 0.4), (-0.1, 0.5), (0.5, 1.1),
+                                        ("0.2", 0.5), (None, 0.5), (False, 0.5), (0.0, True)])
     def test_invalid_bounds(self, bounds):
         with pytest.raises(DomainError):
             make_zone(bounds[0], bounds[1], 3)
@@ -86,7 +88,7 @@ class TestPointwiseActuator:
         assert np.max(np.abs(act.influence[1::2])) <= 1e-12
         assert np.allclose(np.abs(act.influence[0::2]), SQRT2)
 
-    @pytest.mark.parametrize("loc", [0.0, 1.0, -0.2, 1.5])
+    @pytest.mark.parametrize("loc", [0.0, 1.0, -0.2, 1.5, "0.2", None, False, True])
     def test_invalid_location(self, loc):
         with pytest.raises(DomainError):
             make_pointwise(loc, 3)

@@ -81,25 +81,41 @@ class TestValidation:
             ProblemConfig(**{**_cfg_dict(), "y0": (1.0, float("nan"), 0.0)})
 
     def test_actuator_errors(self):
-        for bad in (
-            {"kind": "zone", "a": 0.5, "b": 0.5},
-            {"kind": "zone", "a": 0.6, "b": 0.4},
-            {"kind": "zone", "a": -0.1, "b": 0.4},
-            {"kind": "zone", "a": "0.2", "b": 0.5},
-            {"kind": "pointwise", "b": 0.0},
-            {"kind": "pointwise", "b": "0.3"},
-            {"kind": "pointwise"},
-            {"kind": "disc", "b": 0.5},
-            {},
+        for bad, field in (
+            ({"kind": "zone", "a": 0.5, "b": 0.5}, "actuator"),
+            ({"kind": "zone", "a": 0.6, "b": 0.4}, "actuator"),
+            ({"kind": "zone", "a": -0.1, "b": 0.4}, "actuator"),
+            ({"kind": "zone", "a": "0.2", "b": 0.5}, "actuator"),
+            ({"kind": "zone", "a": False, "b": 0.5}, "actuator"),  # not a = 0
+            ({"kind": "zone", "a": 0.2, "b": 0.5, "profile": "flat"}, "actuator"),
+            ({"kind": "pointwise", "b": 0.0}, "actuator"),
+            ({"kind": "pointwise", "b": "0.3"}, "actuator"),
+            ({"kind": "pointwise", "b": True}, "actuator"),
+            ({"kind": "pointwise", "a": 0.2, "b": 0.5}, "actuator"),
+            ({"kind": "pointwise"}, "actuator"),
+            ({"kind": "disc", "b": 0.5}, "actuator.kind"),
+            ({"kind": ["zone"], "a": 0.2, "b": 0.5}, "actuator.kind"),
+            ({}, "actuator.kind"),
         ):
-            with pytest.raises(ConfigError):
+            with pytest.raises(ConfigError) as exc:
                 ProblemConfig(**{**_cfg_dict(), "actuator": bad})
+            assert exc.value.field == field
 
     def test_target_mode_errors(self):
-        for bad in ((0, 2), (1, 4), (2, 2)):
+        for bad in ((0, 2), (1, 4), (2, 2), [True], "23", None):
             with pytest.raises(ConfigError) as exc:
                 ProblemConfig(**{**_cfg_dict(), "target_modes": bad})
             assert exc.value.field == "target_modes"
+
+    def test_unknown_fields_are_rejected(self):
+        # a misspelt "tolerances" would otherwise load with the default 1e-4
+        with pytest.raises(ConfigError) as exc:
+            loads_config(_cfg_dict(tolerance={"verify_distance": 1e-9}))
+        assert exc.value.field == "tolerance"
+        assert "unknown field" in str(exc.value)
+        with pytest.raises(ConfigError) as exc:
+            loads_config(_cfg_dict(actuator={"kind": "pointwise", "b": 0.3, "width": 0.1}))
+        assert exc.value.field == "actuator"
 
     def test_tolerances_validation(self):
         with pytest.raises(ConfigError):
@@ -221,6 +237,16 @@ class TestCliFailures:
     def _exit_cleanly(argv, capsys, code):
         assert main(argv) == code
         assert "Traceback" not in capsys.readouterr().err
+
+    # 2 means "target unreachable"; argparse's own errors are usage errors
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["synthesize"], ["sweep", "--config", "c"]])
+    def test_usage_errors_exit_1(self, argv, capsys):
+        assert main(argv) == 1
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["-h"]) == 0
+        assert "usage:" in capsys.readouterr().out
 
     def test_config_is_a_directory(self, tmp_path, capsys):
         self._exit_cleanly(["synthesize", "--config", str(tmp_path)], capsys, 1)

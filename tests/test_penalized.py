@@ -47,6 +47,9 @@ class TestBasics:
             PenalizedProblem(cfg, math.inf)
         with pytest.raises(DomainError):
             PenalizedProblem(cfg, 1e-3, residual_form="weak")
+        for eps in ("x", None, True, False, [1e-3], math.nan):  # a real, non-bool number
+            with pytest.raises(DomainError):
+                PenalizedProblem(cfg, eps)
 
     def test_caputo_matrix_applies_caputo_left(self):
         grid = TimeGrid(2.0, 40)
@@ -229,6 +232,12 @@ class TestSweep:
             epsilon_sweep(cfg, [1e-2, -1e-3])
         with pytest.raises(DomainError):
             epsilon_sweep(cfg, [1e-2], "strong")
+        # one eps rule with PenalizedProblem: a schedule is an iterable of real, non-bool numbers
+        for bad in (["a"], None, 1e-3, [True, 0.5], [1e-2, "1e-3"], [1e-2, math.inf]):
+            with pytest.raises(DomainError):
+                epsilon_sweep(cfg, bad)
+        rows = epsilon_sweep(cfg, (e for e in (np.float64(1e-2), 1e-3)))
+        assert [r.epsilon for r in rows] == [1e-2, 1e-3]
         # the form is checked before the synthesis could refuse the target
         unreachable = _small_config(
             actuator={"kind": "pointwise", "b": 1.0 / 3.0}, y0=(0.0, 0.0, 1.0), target_modes=(1, 2)
@@ -268,6 +277,34 @@ class TestSweep:
         assert rows[0].epsilon == 1e-4
 
 
+class TestFactorizations:
+    """Each penalized path takes the thin SVDs it needs and no more."""
+
+    @staticmethod
+    def _count_svds(monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        return calls
+
+    # mild reads the steering SVD; caputo adds one of its own whitened factor
+    @pytest.mark.parametrize("form,expect", [("mild", 1), ("caputo", 2)])
+    def test_svds_per_sweep_and_per_solve(self, monkeypatch, form, expect):
+        cfg = _small_config()
+        epsilon_sweep(cfg, [1e-2], form)  # warm the mode table outside the count
+        calls = self._count_svds(monkeypatch)
+        epsilon_sweep(cfg, [1e-1, 1e-3, 1e-5], form)
+        assert len(calls) == expect
+        calls.clear()
+        solve_penalized(PenalizedProblem(cfg, 1e-3, form))
+        assert len(calls) == expect
+
+
 class TestCaputoSystem:
     """The caputo form's terminal rows, outputs and memory, pinned."""
 
@@ -282,17 +319,21 @@ class TestCaputoSystem:
     )
 
     def test_terminal_rows_solve_each_shifted_matrix(self):
-        # exact steering puts every mode in the annihilator, in order, so A's rows give L back
+        # exact steering puts every mode in the annihilator, in order, so row i of A is
+        # b_i l_i scaled by 1/sqrt(s_i), s_i = l_i^T W_r^-1 l_i, with node 0 carrying no influence
         cfg = _small_config(n_modes=4, y0=(1.0, 0.5, 0.0, -0.25), target_modes=(), n_steps=64)
         system = steering_system(cfg)
-        (A, *_), _ = _caputo_system(cfg, system)
+        (_, A, *_), _ = _caputo_system(cfg, system)
         b = system.actuator.influence
-        L = A[:, 1:] / b[:, None]
+        w_r = np.full(cfg.n_steps, cfg.T / cfg.n_steps)
+        w_r[-1] *= 0.5
         Dr = _caputo_matrix(cfg.grid(), cfg.alpha)[1:, 1:]
         eye = np.eye(cfg.n_steps)
+        assert np.all(A[:, 0] == 0.0)
         for i, li in enumerate(eigenvalues(cfg.n_modes)):
-            expect = np.linalg.solve((Dr - li * eye).T, eye[-1])
-            assert np.max(np.abs(L[i] - expect)) <= 1e-12 * np.max(np.abs(expect))
+            l_i = np.linalg.solve((Dr - li * eye).T, eye[-1])
+            expect = b[i] * l_i / np.sqrt(np.sum(l_i * l_i / w_r))
+            assert np.max(np.abs(A[i, 1:] - expect)) <= 1e-12 * np.max(np.abs(expect))
 
     def test_outputs_pinned(self):
         # values of the dense O(n^3) build; the scheme must not move under a speed-up

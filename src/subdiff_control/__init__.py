@@ -7,7 +7,6 @@ solve with an independent penalization cross-check.
 """
 
 from .actuators import (
-    Actuator,
     TargetSubspace,
     dead_modes,
     eec_criterion,

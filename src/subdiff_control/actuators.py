@@ -1,7 +1,8 @@
 """Actuator models, target subspaces, and the strategic / reachability criteria.
 
-An actuator enters the scalar-control model through its per-mode influence
-coefficients b_i.  A zone actuator with flat profile on [a,b] has
+An actuator enters the scalar-control model only through its per-mode
+influence coefficients b_i, so it is held as that vector b.  A zone actuator
+with flat profile on [a,b] has
 
     b_i = (sqrt(2)/(i pi)) (cos(i pi a) - cos(i pi b)),
 
@@ -24,34 +25,20 @@ from .spectral import SQRT2, _is_real
 STRATEGIC_TOL = 1e-10  # relative to max |b_i|
 
 
-@dataclass(frozen=True)
-class Actuator:
-    """Spatial input shape reduced to its eigenmode influence coefficients."""
-
-    influence: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "influence", np.asarray(self.influence, dtype=float))
-
-    @property
-    def n_modes(self) -> int:
-        return self.influence.size
-
-
-def make_zone(a: float, b: float, n_modes: int) -> Actuator:
-    """Zone actuator with flat profile on [a, b]: the closed-form integral of w_i over it."""
+def make_zone(a: float, b: float, n_modes: int) -> np.ndarray:
+    """Influence of a zone actuator with flat profile on [a, b]: the integral of w_i over it."""
     if not (_is_real(a) and _is_real(b) and 0.0 <= a < b <= 1.0):
         raise DomainError(f"zone must satisfy 0 <= a < b <= 1, got a={a!r}, b={b!r}")
     i = np.arange(1, n_modes + 1, dtype=float)
-    return Actuator((SQRT2 / (i * np.pi)) * (np.cos(i * np.pi * a) - np.cos(i * np.pi * b)))
+    return (SQRT2 / (i * np.pi)) * (np.cos(i * np.pi * a) - np.cos(i * np.pi * b))
 
 
-def make_pointwise(b: float, n_modes: int) -> Actuator:
-    """Pointwise actuator at location b in (0,1): b_i = w_i(b)."""
+def make_pointwise(b: float, n_modes: int) -> np.ndarray:
+    """Influence of a pointwise actuator at location b in (0,1): b_i = w_i(b)."""
     if not (_is_real(b) and 0.0 < b < 1.0):
         raise DomainError(f"pointwise location must lie strictly in (0,1), got {b!r}")
     i = np.arange(1, n_modes + 1, dtype=float)
-    return Actuator(SQRT2 * np.sin(i * np.pi * b))
+    return SQRT2 * np.sin(i * np.pi * b)
 
 
 @dataclass(frozen=True)
@@ -98,16 +85,16 @@ def make_target(selected, n_modes: int) -> TargetSubspace:
     return TargetSubspace(n_modes, annihilator)
 
 
-def dead_modes(actuator: Actuator, target: TargetSubspace):
-    """Mode indices (1-based) with vanishing influence that the annihilator touches."""
-    b = actuator.influence
+def dead_modes(b: np.ndarray, target: TargetSubspace):
+    """Mode indices (1-based) with vanishing influence b_i that the annihilator touches."""
+    b = np.asarray(b, dtype=float)
     cut = STRATEGIC_TOL * (float(np.max(np.abs(b))) if b.size else 0.0)
     return [i + 1 for i in target.annihilator.tolist() if abs(b[i]) <= cut]
 
 
-def is_strategic(actuator: Actuator, target: TargetSubspace) -> dict:
-    """Strategic iff every mode the annihilator touches has nonzero influence."""
-    dead = dead_modes(actuator, target)
+def is_strategic(b: np.ndarray, target: TargetSubspace) -> dict:
+    """Strategic iff every mode the annihilator touches has nonzero influence b_i."""
+    dead = dead_modes(b, target)
     return {"strategic": len(dead) == 0, "dead_modes": dead}
 
 

@@ -100,14 +100,14 @@ def _analysis_payload(config: ProblemConfig, system: SteeringSystem) -> dict:
         "eec": eec,
         "gramian_condition": gram.condition_number(),
         "gramian_min_eigenvalue": gram.min_eigenvalue(),
-        "influence": [float(v) for v in system.actuator.influence],
+        "influence": [float(v) for v in system.influence],
     }
 
 
 def _cmd_synthesize(config: ProblemConfig, out: Path) -> int:
     sol = solve_rhum(config)
     transfer = verify_transfer(config, sol.u_star)
-    grid = config.grid()
+    grid = sol.system.grid
     nodes = grid.nodes
     control_path = out / "control.csv"
     traj_path = out / "trajectory.csv"
@@ -143,12 +143,13 @@ def _cmd_verify(config: ProblemConfig, out: Path) -> int:
     control_path = out / "control.csv"
     if not control_path.exists():
         raise ConfigError("<control>", f"no control file at {control_path}; run synthesize first")
-    u = _read_control_csv(control_path, config.grid())
+    grid = config.grid()
+    u = _read_control_csv(control_path, grid)
     transfer = verify_transfer(config, u)
     report = {
         "distance_to_G": transfer.distance_to_G,
         "within_tolerance": transfer.distance_to_G <= config.tolerances.verify_distance,
-        "control_energy": control_energy(u, config.grid()),
+        "control_energy": control_energy(u, grid),
         "final_coefficients": [float(v) for v in transfer.y_T.coeffs],
     }
     _write_json(out / "verify_report.json", report)
@@ -169,12 +170,13 @@ def _cmd_sweep(config: ProblemConfig, out: Path, eps_arg: str) -> int:
         ["epsilon", "J_eps", "rel_control_err", "residual_norm"],
         [(r.epsilon, r.J_eps, r.rel_control_err, r.residual_norm) for r in rows],
     )
+    J = [r.J_eps for r in rows]
     report = {
         "epsilons": [r.epsilon for r in rows],
-        "J_eps": [r.J_eps for r in rows],
+        "J_eps": J,
         "rel_control_err": [r.rel_control_err for r in rows],
         "residual_norm": [r.residual_norm for r in rows],
-        "monotone_J": all(b >= a - 1e-10 for a, b in zip([r.J_eps for r in rows], [r.J_eps for r in rows][1:])),
+        "monotone_J": all(b >= a - 1e-10 for a, b in zip(J, J[1:])),
     }
     _write_json(out / "sweep_report.json", report)
     print(f"swept {len(rows)} penalty values; final rel_control_err={rows[-1].rel_control_err:.3e}")

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .actuators import Actuator, TargetSubspace, make_pointwise, make_target, make_zone
+from .actuators import TargetSubspace, make_pointwise, make_target, make_zone
 from .errors import ConfigError, DomainError
 from .spectral import TimeGrid, _is_real
 
@@ -92,7 +92,7 @@ class ProblemConfig:
     def y0_array(self) -> np.ndarray:
         return np.array(self.y0, dtype=float)
 
-    def build_actuator(self) -> Actuator:
+    def build_actuator(self) -> np.ndarray:
         if self.actuator["kind"] == "zone":
             return make_zone(self.actuator["a"], self.actuator["b"], self.n_modes)
         return make_pointwise(self.actuator["b"], self.n_modes)

@@ -6,19 +6,19 @@ squared dynamics residual of the trajectory, while the terminal condition
 Letting eps -> 0 recovers the constrained minimum-energy control, which is
 compared row by row against the adjoint-seed synthesis.
 
-Eliminating z reduces both residual forms to one ridge solve with a scalar
-shift, (G + eps shift I) phi = c, u = A^T phi / w (``_ridge``), where A maps
-control node samples to annihilator coordinates of the final state and
-G = A W^-1 A^T is a ``rhum.Gramian``: its thin SVD makes each eps the Tikhonov
-filter phi = V diag(1/(sigma^2 + eps shift)) V^T c.  The forms differ only in
-A, c, the shift and in how z is recovered, so each has one builder of that
-system on the problem's ``rhum.SteeringSystem``:
+Eliminating z reduces both residual forms to the synthesis solve on a shifted
+Gramian, (G + eps shift I) phi = c with u = W^-1/2 B phi (``_penalized``), where
+A maps control node samples to annihilator coordinates of the final state and
+G = B^T B, B = W^-1/2 A^T: ``rhum.Gramian.solve`` at delta = eps shift, the
+Tikhonov filter phi = V diag(1/(sigma^2 + eps shift)) V^T c.  The forms differ
+only in A, c, the shift and in how z is recovered, so each form's builder
+returns a ``rhum.SteeringSystem``, its shift and its z recovery:
 
 * ``"mild"`` (default): residual = z - (free state + control convolution),
   the defect against the mild-solution simulator.  Before T the trajectory
   is unconstrained, so the optimal residual vanishes there; at T it shifts
-  z(T) directly with the trapezoid end weight, so shift = 1 / w_T.  G, its
-  SVD and A are the steering system's own: no second factorization.  As
+  z(T) directly with the trapezoid end weight, so shift = 1 / w_T.  Its
+  system is the steering system itself: no second factorization.  As
   eps -> 0 it tends to the synthesis control; it checks the solve, not the
   discretization.
 * ``"caputo"``: residual = (discrete Caputo derivative of z) - lambda z - b u
@@ -34,7 +34,7 @@ system on the problem's ``rhum.SteeringSystem``:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -94,7 +94,7 @@ def dynamics_residual(
     """Defect of (u, z) against the discrete dynamics; shape (n_steps+1, N)."""
     _check_form(form)
     grid = config.grid()
-    influence = config.build_actuator().influence
+    influence = config.build_actuator()
     u = np.asarray(u, dtype=float)
     z = np.asarray(z, dtype=float)
     if form == "mild":
@@ -112,28 +112,20 @@ class PenalizedSolution:
     residual_norm: float       # weighted L2 norm of the dynamics residual
 
 
-def _ridge(gram: Gramian, A, w, c, shift: float):
-    """``solve(eps)``: minimize (1/2) u^T W u + |t|^2 / (2 eps shift) s.t. A u + t = c.
+def _penalized(system: SteeringSystem, shift: float, eps: float):
+    """Minimize (1/2) u^T W u + |t|^2 / (2 eps shift) s.t. A u + t = c; (u, t, residual_norm).
 
-    ``gram`` is A W^-1 A^T as a ``rhum.Gramian``.  t, in annihilator
-    coordinates, is the shift of z(T) that the residual buys, at weighted
-    squared residual |t|^2 / shift.  ``solve`` returns (u, t, residual_norm).
+    t, in annihilator coordinates, is the shift of z(T) that the residual
+    buys, at weighted squared residual |t|^2 / shift.
     """
-    _, sigma, Vt = gram.svd
-    d = Vt @ c
-
-    def solve(eps: float):
-        phi = Vt.T @ (d / (sigma**2 + eps * shift))
-        t = (eps * shift) * phi
-        return (A.T @ phi) / w, t, float(np.sqrt(np.dot(t, t) / shift))
-
-    return solve
+    v, phi = system.gramian.solve(system.c, eps * shift)
+    t = (eps * shift) * phi
+    return v / np.sqrt(system.grid.weights), t, float(np.sqrt(np.dot(t, t) / shift))
 
 
 def _mild_system(config: ProblemConfig, system: SteeringSystem):
     """The steering system itself with shift 1 / w_T; z is the simulated trajectory."""
-    target, influence = system.target, system.actuator.influence
-    w = system.grid.weights
+    target, influence = system.target, system.influence
 
     def recover(u, t):
         z = mild_trajectory(config.alpha, system.grid, config.y0_array(), influence, u)
@@ -141,7 +133,7 @@ def _mild_system(config: ProblemConfig, system: SteeringSystem):
         z[-1, target.annihilator] = 0.0
         return z
 
-    return (system.gramian, system.A, w, system.c, 1.0 / w[-1]), recover
+    return system, 1.0 / system.grid.weights[-1], recover
 
 
 def _caputo_system(config: ProblemConfig, system: SteeringSystem):
@@ -157,8 +149,7 @@ def _caputo_system(config: ProblemConfig, system: SteeringSystem):
     kept copies or factors would add N n^2 doubles to a sweep's peak of about
     2 (n+1)^2.
     """
-    grid, w = system.grid, system.grid.weights
-    b = system.actuator.influence
+    grid, w, b = system.grid, system.grid.weights, system.influence
     target, ann = system.target, system.target.annihilator
     y0 = config.y0_array()
     lam = eigenvalues(config.n_modes)
@@ -187,10 +178,10 @@ def _caputo_system(config: ProblemConfig, system: SteeringSystem):
             z[1:, i] = np.linalg.solve(Dr, b[i] * u[1:] - m * y0[i] + tau[i] * L[i] / w_r)
         return z
 
-    return (Gramian(A.T / np.sqrt(w)[:, None]), A, w, c, 1.0), recover
+    return replace(system, gramian=Gramian(A.T / np.sqrt(w)[:, None]), A=A, c=c), 1.0, recover
 
 
-# Ridge system (gram, A, w, c, shift) of each residual form and its z(u, t) recovery
+# (SteeringSystem, shift, z(u, t) recovery) of each residual form
 _BUILDERS = {"mild": _mild_system, "caputo": _caputo_system}
 
 
@@ -199,8 +190,8 @@ def solve_penalized(problem: PenalizedProblem) -> PenalizedSolution:
     config, eps = problem.config, problem.epsilon
     system = steering_system(config)
     require_reachable(system, config.tolerances.verify_distance)
-    ridge, recover = _BUILDERS[problem.residual_form](config, system)
-    u, t, res_norm = _ridge(*ridge)(eps)
+    psys, shift, recover = _BUILDERS[problem.residual_form](config, system)
+    u, t, res_norm = _penalized(psys, shift, eps)
     en = control_energy(u, system.grid)
     return PenalizedSolution(u, recover(u, t), en + res_norm**2 / (2.0 * eps), en, res_norm)
 
@@ -218,8 +209,8 @@ def epsilon_sweep(
 ) -> list[SweepRow]:
     """Solve the penalized problem along a decreasing eps schedule.
 
-    The form's ridge system is built and factored once, on the synthesis
-    solve's steering system; each eps costs one diagonal filter and no
+    The form's system is built and factored once, on the synthesis solve's
+    steering system; each eps costs one ``Gramian.solve`` filter and no
     trajectory.  Each row reports the full objective and the weighted-L2
     distance of the penalized control to the adjoint-seed synthesis control,
     relative to the latter's norm.
@@ -232,13 +223,13 @@ def epsilon_sweep(
         raise DomainError(f"eps values must be non-empty and strictly decreasing, got {eps}")
     _check_form(residual_form)
     ref = solve_rhum(config)
-    solve = _ridge(*_BUILDERS[residual_form](config, ref.system)[0])
+    psys, shift, _ = _BUILDERS[residual_form](config, ref.system)
     grid, u_ref = ref.system.grid, ref.u_star
     w = grid.weights
     ref_norm = float(np.sqrt(np.dot(w, u_ref * u_ref)))
     rows = []
     for e in eps:
-        u, _, res_norm = solve(e)
+        u, _, res_norm = _penalized(psys, shift, e)
         dn = float(np.sqrt(np.dot(w, (u - u_ref) ** 2)))
         rel = dn / ref_norm if ref_norm > 0 else dn
         rows.append(SweepRow(e, control_energy(u, grid) + res_norm**2 / (2.0 * e), rel, res_norm))

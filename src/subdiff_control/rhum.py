@@ -5,8 +5,9 @@ G phi_hat = c with G the quadratic observation form (the Gramian) on that
 annihilator and c = -(annihilator coordinates of the free final state), and
 reads the steering control off the adjoint observation evaluated at T - t.
 G is never formed to solve with: a ``Gramian`` holds a factor B, G = B^T B,
-whose one thin SVD gives the solve, the spectrum and the null space (Hansen,
-*Rank-Deficient and Discrete Ill-Posed Problems*, SIAM 1998).  Two routes:
+whose one thin SVD gives the spectrum, the null space and ``Gramian.solve``
+of (G + delta I) phi = c (Hansen, *Rank-Deficient and Discrete Ill-Posed
+Problems*, SIAM 1998).  Two routes build B:
 
 * ``assemble_gramian`` integrates the continuous observation products
   integral_0^T t^{2(a-1)} E_{a,a}(lambda_i t^a) E_{a,a}(lambda_l t^a) dt
@@ -19,10 +20,10 @@ whose one thin SVD gives the solve, the spectrum and the null space (Hansen,
   mild-solution simulator, so the synthesized control verifies to solver
   precision.  ``solve_rhum`` uses this route.
 
-``steering_system`` assembles a problem's system (A, c, Gramian, dead modes;
-w is ``grid.weights``) once; ``require_reachable`` is the one reachability
-rule, for synthesis, penalization and ``analyze``'s ``eec``.  Penalization is
-a Tikhonov filter on a factor of the same kind.
+``steering_system`` assembles a problem's system (b, A, c, Gramian, dead
+modes; w is ``grid.weights``) once; ``require_reachable`` is the one
+reachability rule, for synthesis, penalization and ``analyze``'s ``eec``.
+Synthesis is ``Gramian.solve`` at delta = 0 and penalization at delta > 0.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .actuators import Actuator, TargetSubspace, dead_modes, eec_criterion
+from .actuators import TargetSubspace, dead_modes, eec_criterion
 from .config import ProblemConfig
 from .errors import DomainError, NonStrategicError, QuadratureError, SingularGramianError
 from .spectral import (
@@ -69,12 +70,12 @@ class AdjointState:
         return t ** (self.alpha - 1.0) * apply_K(self.alpha, t, SpectralField(self.phi0)).coeffs
 
 
-def observation(actuator: Actuator, adjoint: AdjointState, t: float) -> float:
-    """Actuator reading of the adjoint state at time t in (0, T].
+def observation(b: np.ndarray, adjoint: AdjointState, t: float) -> float:
+    """Reading of the adjoint state at time t in (0, T] by the actuator of influence b.
 
     Blows up like t^(a-1) as t -> 0+; quadratures must carry that weight.
     """
-    return float(np.dot(actuator.influence, adjoint.coeffs_at(t)))
+    return float(np.dot(b, adjoint.coeffs_at(t)))
 
 
 @dataclass(frozen=True)
@@ -100,6 +101,18 @@ class Gramian:
         sigma = self.svd[1]
         return int(np.sum(sigma > np.finfo(float).eps * max(self.factor.shape) * sigma[:1]))
 
+    def solve(self, c: np.ndarray, delta: float = 0.0) -> tuple:
+        """(v, phi) with phi = V diag(1/(sigma^2 + delta)) V^T c and v = B phi.
+
+        At delta = 0 only the ``rank`` singular values above the cut are kept:
+        phi is the least-norm solve of G phi = c.  delta > 0 keeps all of them:
+        the Tikhonov filter (G + delta I) phi = c.
+        """
+        U, sigma, Vt = self.svd
+        k = self.rank if delta == 0.0 else sigma.size
+        d = (Vt[:k] @ c) / (sigma[:k] ** 2 + delta)
+        return U[: self.factor.shape[0], :k] @ (sigma[:k] * d), Vt[:k].T @ d
+
     def range_miss(self, c: np.ndarray) -> float:
         """|A u - c| of the least-norm control: c's part past V's first ``rank`` columns."""
         return float(np.linalg.norm(self.svd[2][self.rank:] @ c))
@@ -111,7 +124,7 @@ class Gramian:
         return np.inf if self.rank < sigma.size else float((hi / lo) ** 2)
 
 
-def assemble_gramian(actuator: Actuator, target: TargetSubspace, alpha: float, T: float) -> Gramian:
+def assemble_gramian(b: np.ndarray, target: TargetSubspace, alpha: float, T: float) -> Gramian:
     """Continuous-time Gramian on the annihilator via weighted Gauss quadrature.
 
     Substituting v = t^a turns each entry into
@@ -131,24 +144,24 @@ def assemble_gramian(actuator: Actuator, target: TargetSubspace, alpha: float, T
     x, wq = roots_jacobi(GRAMIAN_QUAD_N, 0.0, beta)
     half = T**alpha / 2.0
     v = (x + 1.0) * half
-    emat = mittag_leffler_array(alpha, alpha, np.outer(eigenvalues(actuator.n_modes), v))
+    b = np.asarray(b, dtype=float)
+    emat = mittag_leffler_array(alpha, alpha, np.outer(eigenvalues(b.size), v))
     scale = (1.0 / alpha) * half ** (beta + 1.0)
     ann = target.annihilator
-    factor = np.sqrt(scale * wq)[:, None] * (emat.T[:, ann] * actuator.influence[ann])
+    factor = np.sqrt(scale * wq)[:, None] * (emat.T[:, ann] * b[ann])
     if not np.all(np.isfinite(factor)):
         raise QuadratureError("Gramian quadrature produced non-finite entries")
     return Gramian(factor)
 
 
-def discrete_gramian(actuator: Actuator, target: TargetSubspace, alpha: float, grid: TimeGrid):
+def discrete_gramian(b: np.ndarray, target: TargetSubspace, alpha: float, grid: TimeGrid):
     """Discrete-control-space Gramian consistent with the mild-solution quadrature.
 
-    Returns (Gramian, A, w) where A maps control node samples to annihilator
-    coordinates of the controlled final state and w = ``grid.weights``.
+    Returns (Gramian, A): A maps control node samples to annihilator coordinates
+    of the controlled final state, and the factor is W^{-1/2} A^T, w = ``grid.weights``.
     """
-    A = terminal_control_map(alpha, grid, actuator.influence)[target.annihilator]
-    w = grid.weights
-    return Gramian(A.T / np.sqrt(w)[:, None]), A, w
+    A = terminal_control_map(alpha, grid, b)[target.annihilator]
+    return Gramian(A.T / np.sqrt(grid.weights)[:, None]), A
 
 
 def final_free_state(alpha: float, T: float, y0: np.ndarray) -> SpectralField:
@@ -160,7 +173,7 @@ def final_free_state(alpha: float, T: float, y0: np.ndarray) -> SpectralField:
 class SteeringSystem:
     """One problem's steering constraint A u = c, read by synthesis, penalization and analyze."""
 
-    actuator: Actuator
+    influence: np.ndarray  # b: the actuator's per-mode influence
     target: TargetSubspace
     grid: TimeGrid         # its ``weights`` are the trapezoid weights w
     gramian: Gramian
@@ -171,13 +184,13 @@ class SteeringSystem:
 
 def steering_system(config: ProblemConfig) -> SteeringSystem:
     """Assemble ``config``'s steering system; R(T) is the last column of the node table."""
-    actuator = config.build_actuator()
+    b = config.build_actuator()
     target = config.build_target()
     grid = config.grid()
-    gram, A, _ = discrete_gramian(actuator, target, config.alpha, grid)
+    gram, A = discrete_gramian(b, target, config.alpha, grid)
     free_T = _modes(config.alpha, grid, config.n_modes).factors[:, -1] * config.y0_array()
     c = -free_T[target.annihilator]
-    return SteeringSystem(actuator, target, grid, gram, A, c, dead_modes(actuator, target))
+    return SteeringSystem(b, target, grid, gram, A, c, dead_modes(b, target))
 
 
 def _rank_refusal(system: SteeringSystem, miss: float, verify_distance: float):
@@ -222,8 +235,8 @@ def solve_rhum(config: ProblemConfig) -> RhumSolution:
 
     Minimizes the trapezoid-weighted control energy subject to the terminal
     state landing in the target subspace, which is exactly the adjoint-seed
-    normal-equation solve in the weighted geometry: u = W^{-1/2} U_k sigma_k^-1 V_k^T c
-    over the k singular values above numpy's rank cut.  Refuses through
+    normal-equation solve in the weighted geometry: ``Gramian.solve`` at delta = 0,
+    u = W^{-1/2} B phi over the singular values above numpy's rank cut.  Refuses through
     ``require_reachable``, and when |A u - c|, the simulated miss up to
     rounding, of the computed control exceeds ``tolerances.verify_distance``.
     """
@@ -242,14 +255,11 @@ def solve_rhum(config: ProblemConfig) -> RhumSolution:
             RuntimeWarning,
             stacklevel=2,
         )
-    U, sigma, Vt = gram.svd
-    k = gram.rank
-    coef = (Vt[:k] @ c) / sigma[:k]
-    u_star = (U[: A.shape[1], :k] @ coef) / np.sqrt(system.grid.weights)
+    v, phi_hat = gram.solve(c)
+    u_star = v / np.sqrt(system.grid.weights)
     miss = float(np.linalg.norm(A @ u_star - c))
     if not miss <= vd:
         raise _rank_refusal(system, miss, vd)
-    phi_hat = Vt[:k].T @ (coef / sigma[:k])
     resid = miss / float(np.linalg.norm(c))  # = |G phi_hat - c| / |c|
     return RhumSolution(system.target.embed(phi_hat), phi_hat, u_star, resid, system)
 
@@ -263,10 +273,9 @@ class TransferReport:
 
 def verify_transfer(config: ProblemConfig, u_star: np.ndarray) -> TransferReport:
     """Simulate the mild solution under ``u_star`` and measure the miss distance."""
-    actuator = config.build_actuator()
     target = config.build_target()
     traj = mild_trajectory(
-        config.alpha, config.grid(), config.y0_array(), actuator.influence, u_star
+        config.alpha, config.grid(), config.y0_array(), config.build_actuator(), u_star
     )
     y_T = traj[-1]
     return TransferReport(target.distance_to(y_T), SpectralField(y_T), traj)

@@ -323,8 +323,8 @@ class TestCaputoSystem:
         # b_i l_i scaled by 1/sqrt(s_i), s_i = l_i^T W_r^-1 l_i, with node 0 carrying no influence
         cfg = _small_config(n_modes=4, y0=(1.0, 0.5, 0.0, -0.25), target_modes=(), n_steps=64)
         system = steering_system(cfg)
-        (_, A, *_), _ = _caputo_system(cfg, system)
-        b = system.actuator.influence
+        A = _caputo_system(cfg, system)[0].A
+        b = system.influence
         w_r = np.full(cfg.n_steps, cfg.T / cfg.n_steps)
         w_r[-1] *= 0.5
         Dr = _caputo_matrix(cfg.grid(), cfg.alpha)[1:, 1:]

@@ -20,6 +20,7 @@ from subdiff_control.errors import (
 )
 from subdiff_control.rhum import (
     AdjointState,
+    Gramian,
     assemble_gramian,
     control_energy,
     discrete_gramian,
@@ -71,7 +72,7 @@ class TestAdjointState:
         adj = AdjointState(np.array([1.0, -0.5, 0.25]), 0.7, 1.0)
         t = 0.4
         assert observation(act, adj, t) == pytest.approx(
-            float(np.dot(act.influence, adj.coeffs_at(t))), rel=1e-14
+            float(np.dot(act, adj.coeffs_at(t))), rel=1e-14
         )
 
 
@@ -89,12 +90,11 @@ class TestContinuousGramian:
         # Oracle: integral_0^T t^(2a-2) E_{a,a}(lam_i t^a) E_{a,a}(lam_l t^a) dt
         # with the algebraic endpoint weight handled by the quadrature rule.
         alpha, T = 0.7, 1.0
-        act = make_zone(0.2, 0.5, 3)
+        b = make_zone(0.2, 0.5, 3)
         tgt = make_target([3], 3)  # annihilator spanned by e1, e2
-        factor = assemble_gramian(act, tgt, alpha, T).factor
+        factor = assemble_gramian(b, tgt, alpha, T).factor
         gram = factor.T @ factor
         lam = eigenvalues(3)
-        b = act.influence
         # annihilator coordinate r is mode tgt.annihilator[r]
         # quad's (i, l) and (l, i) integrands evaluate the same arguments
         ml = functools.lru_cache(maxsize=None)(mittag_leffler)
@@ -120,7 +120,7 @@ class TestContinuousGramian:
         gram = factor.T @ factor
         lam = eigenvalues(3)
         for i in range(3):
-            classical = act.influence[i] ** 2 * (math.exp(2 * lam[i] * T) - 1.0) / (2 * lam[i])
+            classical = act[i] ** 2 * (math.exp(2 * lam[i] * T) - 1.0) / (2 * lam[i])
             assert gram[i, i] == pytest.approx(classical, rel=1e-2)
 
     def test_positive_definite_when_strategic(self):
@@ -135,7 +135,7 @@ class TestDiscreteGramian:
     def test_dead_mode_gives_zero_row_and_column(self):
         act = make_pointwise(1.0 / 3.0, 3)  # mode 3 uninfluenced
         tgt = make_target([], 3)
-        gram, A, w = discrete_gramian(act, tgt, 0.5, TimeGrid(1.0, 64))
+        gram, A = discrete_gramian(act, tgt, 0.5, TimeGrid(1.0, 64))
         G = gram.factor.T @ gram.factor
         assert np.max(np.abs(G[2, :])) <= 1e-12
         assert np.max(np.abs(G[:, 2])) <= 1e-12
@@ -161,11 +161,45 @@ class TestDiscreteGramian:
         act = make_zone(0.2, 0.5, 4)
         tgt = make_target([3, 4], 4)
         grid = TimeGrid(2.0, 10)
-        gram, A, w = discrete_gramian(act, tgt, 0.5, grid)
+        gram, A = discrete_gramian(act, tgt, 0.5, grid)
+        w = grid.weights
         assert (gram.factor.T @ gram.factor).shape == (2, 2)
         assert A.shape == (2, 11)
         assert w.sum() == pytest.approx(2.0)
         assert w[0] == w[-1] == pytest.approx(0.1)
+
+
+class TestGramianSolve:
+    """``Gramian.solve`` against numpy's dense solve and pseudo-inverse of G = B^T B."""
+
+    @staticmethod
+    def _factor(kind):
+        # Null vectors are coordinate vectors (zero columns, as a dead mode gives), so
+        # fl(B^T B) and the oracle's LU keep them exact; a generic null space would
+        # leave the dense oracle itself ~1e-6 off at delta = 1e-8.
+        rng = np.random.default_rng({"tall": 11, "deficient": 12, "wide": 13}[kind])
+        B = rng.normal(size=(4, 6) if kind == "wide" else (40, 6))
+        B[:, {"tall": [], "deficient": [2], "wide": [1, 4]}[kind]] = 0.0
+        return B
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-8, 1e-2])
+    @pytest.mark.parametrize("kind", ["tall", "deficient", "wide"])
+    def test_matches_dense_oracle(self, kind, delta):
+        B = self._factor(kind)
+        G = B.T @ B
+        gram = Gramian(B)
+        assert gram.rank == {"tall": 6, "deficient": 5, "wide": 4}[kind]
+        rng = np.random.default_rng(7)
+        if delta == 0.0:  # the rank-cut solve is least-norm only for c in G's range
+            c = G @ rng.normal(size=6)
+            oracle = np.linalg.pinv(G, hermitian=True) @ c
+        else:  # c with a part along the null space, which the filter scales by 1/delta
+            c = rng.normal(size=6)
+            oracle = np.linalg.solve(G + delta * np.eye(6), c)
+        v, phi = gram.solve(c, delta)
+        assert np.linalg.norm(phi - oracle) <= 1e-12 * np.linalg.norm(oracle)
+        assert v.shape == (B.shape[0],)
+        assert np.linalg.norm(v - B @ phi) <= 1e-12 * np.linalg.norm(B, 2) * np.linalg.norm(phi)
 
 
 class TestSolve:
@@ -195,7 +229,8 @@ class TestSolve:
         sol = solve_rhum(cfg)
         act = cfg.build_actuator()
         tgt = cfg.build_target()
-        gram, A, w = discrete_gramian(act, tgt, cfg.alpha, cfg.grid())
+        gram, A = discrete_gramian(act, tgt, cfg.alpha, cfg.grid())
+        w = cfg.grid().weights
         c = -float(final_free_state(cfg.alpha, cfg.T, cfg.y0_array()).coeffs[0])
         phi = c / float(gram.factor[:, 0] @ gram.factor[:, 0])
         assert sol.phi_hat[0] == pytest.approx(phi, rel=1e-12)
@@ -323,7 +358,8 @@ class TestSolve:
         sol = solve_rhum(cfg)
         act = cfg.build_actuator()
         tgt = cfg.build_target()
-        _, A, w = discrete_gramian(act, tgt, cfg.alpha, cfg.grid())
+        _, A = discrete_gramian(act, tgt, cfg.alpha, cfg.grid())
+        w = cfg.grid().weights
         rng = np.random.default_rng(19)
         base_energy = control_energy(sol.u_star, cfg.grid())
         for _ in range(5):

@@ -65,7 +65,6 @@ from .special import (
     psi_alpha,
 )
 from .spectral import (
-    SpectralField,
     TimeGrid,
     apply_K,
     apply_R,

@@ -63,17 +63,19 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _read_control_csv(path: Path, grid: TimeGrid) -> np.ndarray:
-    """The u column of a control file whose rows are the grid's nodes t and finite u."""
+    """The u column of a ``t,u`` control file whose rows are the grid's nodes t and finite u."""
     try:
         lines = path.read_text(encoding="utf-8").strip().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("<control>", f"cannot read {path}: {exc}") from exc
-    nodes = grid.nodes
-    if len(lines) - 1 != nodes.size:
-        msg = f"control file has {len(lines) - 1} samples but the grid needs {nodes.size}"
+    nodes, rows = grid.nodes, lines[1:]  # an empty file has 0 samples
+    if len(rows) != nodes.size:
+        msg = f"control file has {len(rows)} samples but the grid needs {nodes.size}"
         raise ConfigError("<control>", msg)
+    if lines[0].strip() != "t,u":
+        raise ConfigError("<control>", f"line 1 of {path} is not the header 't,u': {lines[0]!r}")
     vals = []
-    for k, (line, node) in enumerate(zip(lines[1:], nodes), start=2):
+    for k, (line, node) in enumerate(zip(rows, nodes), start=2):
         try:
             t, u = (float(v) for v in line.split(","))
         except ValueError:
@@ -150,7 +152,7 @@ def _cmd_verify(config: ProblemConfig, out: Path) -> int:
         "distance_to_G": transfer.distance_to_G,
         "within_tolerance": transfer.distance_to_G <= config.tolerances.verify_distance,
         "control_energy": control_energy(u, grid),
-        "final_coefficients": [float(v) for v in transfer.y_T.coeffs],
+        "final_coefficients": [float(v) for v in transfer.trajectory[-1]],
     }
     _write_json(out / "verify_report.json", report)
     print(f"distance_to_G={report['distance_to_G']:.6e} ok={report['within_tolerance']}")

@@ -15,6 +15,14 @@ from .spectral import TimeGrid, _is_real
 _ACTUATOR_FIELDS = {"zone": {"kind", "a", "b"}, "pointwise": {"kind", "b"}}
 
 
+def _as_config_error(name: str, build) -> None:
+    """Call ``build``; its ``DomainError`` becomes a ``ConfigError`` on field ``name``."""
+    try:
+        build()
+    except DomainError as exc:
+        raise ConfigError(name, str(exc)) from exc
+
+
 @dataclass(frozen=True)
 class Tolerances:
     verify_distance: float = 1e-4
@@ -44,19 +52,20 @@ class ProblemConfig:
     tolerances: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self):
-        for name in ("alpha", "T"):
-            if not _is_real(getattr(self, name)):
-                raise ConfigError(name, f"must be a number, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, float(getattr(self, name)))
+        if not _is_real(self.alpha):
+            raise ConfigError("alpha", f"must be a number, got {self.alpha!r}")
+        object.__setattr__(self, "alpha", float(self.alpha))
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha", f"must lie strictly in (0,1), got {self.alpha!r}")
-        if not 0.0 < self.T < np.inf:
-            raise ConfigError("T", f"must be positive and finite, got {self.T!r}")
-        for name, low in (("n_modes", 1), ("n_steps", 2)):
-            v = getattr(self, name)
-            if not (isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= low):
-                raise ConfigError(name, f"must be an integer >= {low}, got {v!r}")
-            object.__setattr__(self, name, int(v))
+        # TimeGrid holds the rules for T and n_steps; a 2-step grid checks T alone
+        _as_config_error("T", lambda: TimeGrid(self.T, 2))
+        object.__setattr__(self, "T", float(self.T))
+        v = self.n_modes
+        if not (isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1):
+            raise ConfigError("n_modes", f"must be an integer >= 1, got {v!r}")
+        object.__setattr__(self, "n_modes", int(v))
+        _as_config_error("n_steps", self.grid)
+        object.__setattr__(self, "n_steps", int(self.n_steps))
         y0_is_array = isinstance(self.y0, (list, tuple, np.ndarray))
         if not (y0_is_array and all(_is_real(v) for v in self.y0)):
             raise ConfigError("y0", f"must be an array of numbers, got {self.y0!r}")
@@ -76,11 +85,8 @@ class ProblemConfig:
         if set(act) != _ACTUATOR_FIELDS[kind]:
             fields = sorted(_ACTUATOR_FIELDS[kind])
             raise ConfigError("actuator", f"a {kind} actuator has exactly {fields}, got {act!r}")
-        for name, build in (("actuator", self.build_actuator), ("target_modes", self.build_target)):
-            try:
-                build()
-            except DomainError as exc:
-                raise ConfigError(name, str(exc)) from exc
+        _as_config_error("actuator", self.build_actuator)
+        _as_config_error("target_modes", self.build_target)
         object.__setattr__(self, "target_modes", tuple(int(i) for i in self.target_modes))
         if not isinstance(self.tolerances, Tolerances):
             raise ConfigError("tolerances", "must be a Tolerances instance")

@@ -12,7 +12,8 @@ A maps control node samples to annihilator coordinates of the final state and
 G = B^T B, B = W^-1/2 A^T: ``rhum.Gramian.solve`` at delta = eps shift, the
 Tikhonov filter phi = V diag(1/(sigma^2 + eps shift)) V^T c.  The forms differ
 only in A, c, the shift and in how z is recovered, so each form's builder
-returns a ``rhum.SteeringSystem``, its shift and its z recovery:
+returns a ``rhum.SteeringSystem`` (its Gramian's factor B is the form's only
+copy of A), its shift and its z recovery:
 
 * ``"mild"`` (default): residual = z - (free state + control convolution),
   the defect against the mild-solution simulator.  Before T the trajectory
@@ -178,7 +179,7 @@ def _caputo_system(config: ProblemConfig, system: SteeringSystem):
             z[1:, i] = np.linalg.solve(Dr, b[i] * u[1:] - m * y0[i] + tau[i] * L[i] / w_r)
         return z
 
-    return replace(system, gramian=Gramian(A.T / np.sqrt(w)[:, None]), A=A, c=c), 1.0, recover
+    return replace(system, gramian=Gramian(A.T / np.sqrt(w)[:, None]), c=c), 1.0, recover
 
 
 # (SteeringSystem, shift, z(u, t) recovery) of each residual form

@@ -20,10 +20,12 @@ Problems*, SIAM 1998).  Two routes build B:
   mild-solution simulator, so the synthesized control verifies to solver
   precision.  ``solve_rhum`` uses this route.
 
-``steering_system`` assembles a problem's system (b, A, c, Gramian, dead
-modes; w is ``grid.weights``) once; ``require_reachable`` is the one
-reachability rule, for synthesis, penalization and ``analyze``'s ``eec``.
-Synthesis is ``Gramian.solve`` at delta = 0 and penalization at delta > 0.
+B is the one stored copy of the control-to-state map: A u = B^T W^{1/2} u,
+so a control u = W^{-1/2} v lands at A u = B^T v.  ``steering_system``
+assembles a problem's system (b, c, Gramian, dead modes; w is
+``grid.weights``) once; ``require_reachable`` is the one reachability rule,
+for synthesis, penalization and ``analyze``'s ``eec``.  Synthesis is
+``Gramian.solve`` at delta = 0 and penalization at delta > 0.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .actuators import TargetSubspace, dead_modes, eec_criterion
 from .config import ProblemConfig
 from .errors import DomainError, NonStrategicError, QuadratureError, SingularGramianError
 from .spectral import (
-    SpectralField,
     TimeGrid,
     _modes,
     apply_K,
@@ -67,7 +68,7 @@ class AdjointState:
     def coeffs_at(self, t: float) -> np.ndarray:
         if not 0.0 < t <= self.T:
             raise DomainError(f"adjoint state is evaluated on (0, T], got t={t}")
-        return t ** (self.alpha - 1.0) * apply_K(self.alpha, t, SpectralField(self.phi0)).coeffs
+        return t ** (self.alpha - 1.0) * apply_K(self.alpha, t, self.phi0)
 
 
 def observation(b: np.ndarray, adjoint: AdjointState, t: float) -> float:
@@ -154,19 +155,21 @@ def assemble_gramian(b: np.ndarray, target: TargetSubspace, alpha: float, T: flo
     return Gramian(factor)
 
 
-def discrete_gramian(b: np.ndarray, target: TargetSubspace, alpha: float, grid: TimeGrid):
+def discrete_gramian(
+    b: np.ndarray, target: TargetSubspace, alpha: float, grid: TimeGrid
+) -> Gramian:
     """Discrete-control-space Gramian consistent with the mild-solution quadrature.
 
-    Returns (Gramian, A): A maps control node samples to annihilator coordinates
-    of the controlled final state, and the factor is W^{-1/2} A^T, w = ``grid.weights``.
+    Its factor is W^{-1/2} A^T, w = ``grid.weights``, where A maps control node
+    samples to annihilator coordinates of the controlled final state.
     """
     A = terminal_control_map(alpha, grid, b)[target.annihilator]
-    return Gramian(A.T / np.sqrt(grid.weights)[:, None]), A
+    return Gramian(A.T / np.sqrt(grid.weights)[:, None])
 
 
-def final_free_state(alpha: float, T: float, y0: np.ndarray) -> SpectralField:
-    """Uncontrolled final state R(T) y0."""
-    return apply_R(alpha, T, SpectralField(np.asarray(y0, dtype=float)))
+def final_free_state(alpha: float, T: float, y0: np.ndarray) -> np.ndarray:
+    """Coefficients of the uncontrolled final state R(T) y0."""
+    return apply_R(alpha, T, y0)
 
 
 @dataclass(frozen=True)
@@ -176,8 +179,7 @@ class SteeringSystem:
     influence: np.ndarray  # b: the actuator's per-mode influence
     target: TargetSubspace
     grid: TimeGrid         # its ``weights`` are the trapezoid weights w
-    gramian: Gramian
-    A: np.ndarray          # control node samples -> annihilator coordinates of y(T)
+    gramian: Gramian       # factor B = W^{-1/2} A^T holds the map A
     c: np.ndarray          # -(R(T) y0)[annihilator], the annihilator coordinates to cancel
     dead_modes: list       # 1-based modes the annihilator touches with no influence
 
@@ -187,10 +189,10 @@ def steering_system(config: ProblemConfig) -> SteeringSystem:
     b = config.build_actuator()
     target = config.build_target()
     grid = config.grid()
-    gram, A = discrete_gramian(b, target, config.alpha, grid)
+    gram = discrete_gramian(b, target, config.alpha, grid)
     free_T = _modes(config.alpha, grid, config.n_modes).factors[:, -1] * config.y0_array()
     c = -free_T[target.annihilator]
-    return SteeringSystem(b, target, grid, gram, A, c, dead_modes(b, target))
+    return SteeringSystem(b, target, grid, gram, c, dead_modes(b, target))
 
 
 def _rank_refusal(system: SteeringSystem, miss: float, verify_distance: float):
@@ -219,8 +221,7 @@ def require_reachable(system: SteeringSystem, verify_distance: float) -> None:
 
 @dataclass(frozen=True)
 class RhumSolution:
-    phi0: np.ndarray          # adjoint seed in full mode coordinates (in the annihilator)
-    phi_hat: np.ndarray       # its annihilator coordinates
+    phi_hat: np.ndarray       # annihilator coordinates of the adjoint seed
     u_star: np.ndarray        # control node samples on the grid
     residual: float           # relative residual of the Gramian solve
     system: SteeringSystem
@@ -237,16 +238,16 @@ def solve_rhum(config: ProblemConfig) -> RhumSolution:
     state landing in the target subspace, which is exactly the adjoint-seed
     normal-equation solve in the weighted geometry: ``Gramian.solve`` at delta = 0,
     u = W^{-1/2} B phi over the singular values above numpy's rank cut.  Refuses through
-    ``require_reachable``, and when |A u - c|, the simulated miss up to
-    rounding, of the computed control exceeds ``tolerances.verify_distance``.
+    ``require_reachable``, and when |A u - c| = |B^T v - c|, the simulated miss up
+    to rounding, of the computed control exceeds ``tolerances.verify_distance``.
     """
     system = steering_system(config)
     vd = config.tolerances.verify_distance
     require_reachable(system, vd)
-    gram, A, c = system.gramian, system.A, system.c
+    gram, c = system.gramian, system.c
     if float(np.linalg.norm(c)) == 0.0:  # includes G = whole space (no annihilator)
         zero = np.zeros(system.grid.n_steps + 1)
-        return RhumSolution(np.zeros(config.n_modes), np.zeros(c.size), zero, 0.0, system)
+        return RhumSolution(np.zeros(c.size), zero, 0.0, system)
     cond = gram.condition_number()
     if cond > COND_WARN_THRESHOLD:
         warnings.warn(
@@ -256,19 +257,17 @@ def solve_rhum(config: ProblemConfig) -> RhumSolution:
             stacklevel=2,
         )
     v, phi_hat = gram.solve(c)
-    u_star = v / np.sqrt(system.grid.weights)
-    miss = float(np.linalg.norm(A @ u_star - c))
+    miss = float(np.linalg.norm(gram.factor.T @ v - c))  # A u* = B^T v
     if not miss <= vd:
         raise _rank_refusal(system, miss, vd)
     resid = miss / float(np.linalg.norm(c))  # = |G phi_hat - c| / |c|
-    return RhumSolution(system.target.embed(phi_hat), phi_hat, u_star, resid, system)
+    return RhumSolution(phi_hat, v / np.sqrt(system.grid.weights), resid, system)
 
 
 @dataclass(frozen=True)
 class TransferReport:
     distance_to_G: float
-    y_T: SpectralField
-    trajectory: np.ndarray
+    trajectory: np.ndarray  # (n_steps+1, N); the final state is its last row
 
 
 def verify_transfer(config: ProblemConfig, u_star: np.ndarray) -> TransferReport:
@@ -277,8 +276,7 @@ def verify_transfer(config: ProblemConfig, u_star: np.ndarray) -> TransferReport
     traj = mild_trajectory(
         config.alpha, config.grid(), config.y0_array(), config.build_actuator(), u_star
     )
-    y_T = traj[-1]
-    return TransferReport(target.distance_to(y_T), SpectralField(y_T), traj)
+    return TransferReport(target.distance_to(traj[-1]), traj)
 
 
 def control_energy(u: np.ndarray, grid: TimeGrid) -> float:

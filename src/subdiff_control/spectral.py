@@ -1,8 +1,10 @@
 """Truncated eigenmode model of sub-diffusion on [0,1] with Dirichlet ends.
 
 Eigenpairs are lambda_i = -(i*pi)^2, w_i(x) = sqrt(2) sin(i*pi*x), i >= 1.
-The state propagator R(t) multiplies mode i by E_{a,1}(lambda_i t^a) and the
-control kernel K(t) by E_{a,a}(lambda_i t^a).  The mild solution evaluates
+A state is the array of its N coefficients against the w_i.  The state
+propagator R(t) (``apply_R``) multiplies coefficient i by E_{a,1}(lambda_i t^a)
+and the control kernel K(t) (``apply_K``) by E_{a,a}(lambda_i t^a).  The mild
+solution evaluates
 
     y_i(t_k) = E_{a,1}(lambda_i t_k^a) y0_i
              + b_i * integral_0^{t_k} (t_k - s)^(a-1) E_{a,a}(lambda_i (t_k-s)^a) u(s) ds
@@ -40,29 +42,6 @@ TABLE_CACHE_SIZE = 8
 def _is_real(v) -> bool:
     """A real number and not a bool: the package's one rule for a numeric input."""
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
-@dataclass(frozen=True)
-class SpectralField:
-    """A state as N coefficients against the orthonormal eigenbasis."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        object.__setattr__(self, "coeffs", c)
-        if c.ndim != 1 or c.size < 1:
-            raise DomainError(f"coefficients must be a non-empty vector, got shape {c.shape}")
-        if not np.all(np.isfinite(c)):
-            raise DomainError("coefficients must be finite")
-
-    @property
-    def n_modes(self) -> int:
-        return self.coeffs.size
-
-    def norm(self) -> float:
-        """L2 spatial norm; equals the coefficient norm by Parseval."""
-        return float(np.linalg.norm(self.coeffs))
 
 
 def _trapezoid_split(steps: np.ndarray) -> np.ndarray:
@@ -119,24 +98,34 @@ def _check_alpha(alpha: float) -> None:
         raise DomainError(f"fractional order must lie in (0,1], got {alpha}")
 
 
-def apply_R(alpha: float, t: float, state: SpectralField) -> SpectralField:
+def _coeffs(state) -> np.ndarray:
+    """A state as its N coefficients against the orthonormal eigenbasis: 1-D, non-empty, finite."""
+    c = np.asarray(state, dtype=float)
+    if c.ndim != 1 or c.size < 1:
+        raise DomainError(f"coefficients must be a non-empty vector, got shape {c.shape}")
+    if not np.all(np.isfinite(c)):
+        raise DomainError("coefficients must be finite")
+    return c
+
+
+def apply_R(alpha: float, t: float, state: np.ndarray) -> np.ndarray:
     """State propagator: coefficient i scaled by E_{a,1}(lambda_i t^a)."""
     _check_alpha(alpha)
+    c = _coeffs(state)
     if t < 0:
         raise DomainError(f"time must be non-negative, got {t}")
     if t == 0.0:
-        return state
-    fac = mittag_leffler_array(alpha, 1.0, eigenvalues(state.n_modes) * t**alpha)
-    return SpectralField(state.coeffs * fac)
+        return c
+    return c * mittag_leffler_array(alpha, 1.0, eigenvalues(c.size) * t**alpha)
 
 
-def apply_K(alpha: float, t: float, state: SpectralField) -> SpectralField:
+def apply_K(alpha: float, t: float, state: np.ndarray) -> np.ndarray:
     """Control kernel: coefficient i scaled by E_{a,a}(lambda_i t^a); t > 0 only."""
     _check_alpha(alpha)
+    c = _coeffs(state)
     if not t > 0:
         raise DomainError(f"the control kernel requires t > 0, got {t}")
-    fac = mittag_leffler_array(alpha, alpha, eigenvalues(state.n_modes) * t**alpha)
-    return SpectralField(state.coeffs * fac)
+    return c * mittag_leffler_array(alpha, alpha, eigenvalues(c.size) * t**alpha)
 
 
 def propagator_factors(alpha: float, grid: TimeGrid, n_modes: int) -> np.ndarray:

@@ -32,7 +32,13 @@ from subdiff_control.rhum import (
     solve_rhum,
     verify_transfer,
 )
-from subdiff_control.spectral import SQRT2, TimeGrid, eigenvalues, mild_trajectory
+from subdiff_control.spectral import (
+    SQRT2,
+    TimeGrid,
+    eigenvalues,
+    mild_trajectory,
+    terminal_control_map,
+)
 from subdiff_control.special import (
     gamma_fn,
     mittag_leffler,
@@ -340,7 +346,7 @@ class TestCriterion6GramianNorm:
     def test_dead_mode_gives_exact_null_vector(self):
         act = make_pointwise(1.0 / 3.0, 5)
         tgt = make_target([], 5)  # annihilator touches every mode, incl. dead 3
-        gram, _ = discrete_gramian(act, tgt, 0.6, TimeGrid(1.0, 128))
+        gram = discrete_gramian(act, tgt, 0.6, TimeGrid(1.0, 128))
         # the annihilator coordinate aligned with the dead mode
         null = np.eye(5)[:, 2][tgt.annihilator]
         assert float(np.linalg.norm(gram.factor.T @ gram.factor @ null)) <= 1e-12
@@ -388,7 +394,8 @@ class TestCriterion8Optimality:
         grid = cfg.grid()
         act = cfg.build_actuator()
         tgt = cfg.build_target()
-        gram, A = discrete_gramian(act, tgt, cfg.alpha, grid)
+        gram = discrete_gramian(act, tgt, cfg.alpha, grid)
+        A = terminal_control_map(cfg.alpha, grid, act)[tgt.annihilator]
         w = grid.weights
         J_star = control_energy(sol.u_star, grid)
         u_norm = float(np.linalg.norm(sol.u_star))

@@ -323,6 +323,22 @@ class TestCliVerify:
         assert "<control>" in capsys.readouterr().err
 
 
+    def test_verify_empty_control(self, tmp_path, capsys):
+        cfg_path = _write_cfg(tmp_path)
+        (tmp_path / "control.csv").write_text("")
+        assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+        assert "has 0 samples" in capsys.readouterr().err
+
+    def test_verify_control_needs_its_header(self, tmp_path, capsys):
+        cfg_path = _write_cfg(tmp_path)
+        out = tmp_path / "out"
+        assert main(["synthesize", "--config", str(cfg_path), "--out", str(out)]) == 0
+        control = out / "control.csv"
+        control.write_text(control.read_text().replace("t,u\n", "x,y\n", 1))
+        assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert "header 't,u'" in capsys.readouterr().err
+
+
 class TestCliSweep:
     def test_sweep_artifacts(self, tmp_path):
         cfg_path = _write_cfg(tmp_path)

@@ -323,7 +323,8 @@ class TestCaputoSystem:
         # b_i l_i scaled by 1/sqrt(s_i), s_i = l_i^T W_r^-1 l_i, with node 0 carrying no influence
         cfg = _small_config(n_modes=4, y0=(1.0, 0.5, 0.0, -0.25), target_modes=(), n_steps=64)
         system = steering_system(cfg)
-        A = _caputo_system(cfg, system)[0].A
+        # the form's system holds A only as its Gramian's factor B = W^-1/2 A^T
+        A = _caputo_system(cfg, system)[0].gramian.factor.T * np.sqrt(cfg.grid().weights)
         b = system.influence
         w_r = np.full(cfg.n_steps, cfg.T / cfg.n_steps)
         w_r[-1] *= 0.5

@@ -31,8 +31,18 @@ from subdiff_control.rhum import (
     steering_system,
     verify_transfer,
 )
-from subdiff_control.spectral import TimeGrid, eigenvalues
+from subdiff_control.spectral import TimeGrid, eigenvalues, terminal_control_map
 from subdiff_control.special import mittag_leffler
+
+
+# the placement_scan benchmark's table: only the actuator varies
+_PLACEMENT = dict(
+    alpha=0.6,
+    n_modes=8,
+    n_steps=1024,
+    y0=(1.0, 0.5, 0.333333, 0.25, 0.2, 0.166667, 0.142857, 0.125),
+    target_modes=(3, 4, 5, 6, 7, 8),
+)
 
 
 def _zone_config(**overrides):
@@ -135,7 +145,7 @@ class TestDiscreteGramian:
     def test_dead_mode_gives_zero_row_and_column(self):
         act = make_pointwise(1.0 / 3.0, 3)  # mode 3 uninfluenced
         tgt = make_target([], 3)
-        gram, A = discrete_gramian(act, tgt, 0.5, TimeGrid(1.0, 64))
+        gram = discrete_gramian(act, tgt, 0.5, TimeGrid(1.0, 64))
         G = gram.factor.T @ gram.factor
         assert np.max(np.abs(G[2, :])) <= 1e-12
         assert np.max(np.abs(G[:, 2])) <= 1e-12
@@ -151,7 +161,7 @@ class TestDiscreteGramian:
         # so check convergence toward the continuous values, not equality
         errs = []
         for n in (256, 1024):
-            factor = discrete_gramian(act, tgt, alpha, TimeGrid(T, n))[0].factor
+            factor = discrete_gramian(act, tgt, alpha, TimeGrid(T, n)).factor
             disc = factor.T @ factor
             errs.append(np.max(np.abs(disc - cont)) / np.max(np.abs(cont)))
         assert errs[1] < errs[0]
@@ -161,10 +171,10 @@ class TestDiscreteGramian:
         act = make_zone(0.2, 0.5, 4)
         tgt = make_target([3, 4], 4)
         grid = TimeGrid(2.0, 10)
-        gram, A = discrete_gramian(act, tgt, 0.5, grid)
+        gram = discrete_gramian(act, tgt, 0.5, grid)
         w = grid.weights
         assert (gram.factor.T @ gram.factor).shape == (2, 2)
-        assert A.shape == (2, 11)
+        assert gram.factor.shape == (11, 2)
         assert w.sum() == pytest.approx(2.0)
         assert w[0] == w[-1] == pytest.approx(0.1)
 
@@ -229,9 +239,10 @@ class TestSolve:
         sol = solve_rhum(cfg)
         act = cfg.build_actuator()
         tgt = cfg.build_target()
-        gram, A = discrete_gramian(act, tgt, cfg.alpha, cfg.grid())
+        gram = discrete_gramian(act, tgt, cfg.alpha, cfg.grid())
+        A = terminal_control_map(cfg.alpha, cfg.grid(), act)[tgt.annihilator]
         w = cfg.grid().weights
-        c = -float(final_free_state(cfg.alpha, cfg.T, cfg.y0_array()).coeffs[0])
+        c = -float(final_free_state(cfg.alpha, cfg.T, cfg.y0_array())[0])
         phi = c / float(gram.factor[:, 0] @ gram.factor[:, 0])
         assert sol.phi_hat[0] == pytest.approx(phi, rel=1e-12)
         assert np.allclose(sol.u_star, phi * A[0] / w, rtol=1e-12)
@@ -253,6 +264,26 @@ class TestSolve:
         free = verify_transfer(cfg, np.zeros(cfg.n_steps + 1))
         assert free.distance_to_G > 1e-3
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(n_steps=256),  # the README's example
+            dict(_PLACEMENT, actuator={"kind": "zone", "a": 0.5467, "b": 0.8194}),
+            dict(_PLACEMENT, actuator={"kind": "pointwise", "b": 0.4673}),
+        ],
+        ids=["readme", "placement-zone", "placement-pointwise"],
+    )
+    def test_residual_against_the_terminal_map(self, overrides):
+        # the solve measures its miss through the Gramian's factor; A and c
+        # are taken afresh here from the terminal map and the propagator
+        cfg = _zone_config(**overrides)
+        sol = solve_rhum(cfg)
+        ann = cfg.build_target().annihilator
+        A = terminal_control_map(cfg.alpha, cfg.grid(), cfg.build_actuator())[ann]
+        c = -final_free_state(cfg.alpha, cfg.T, cfg.y0_array())[ann]
+        expect = np.linalg.norm(A @ sol.u_star - c) / np.linalg.norm(c)
+        assert abs(sol.residual - expect) <= 1e-14
+
     def test_non_strategic_raises_typed_error(self):
         cfg = _zone_config(
             actuator={"kind": "pointwise", "b": 1.0 / 3.0},
@@ -273,7 +304,7 @@ class TestSolve:
             )
             sol = solve_rhum(cfg)
             act = cfg.build_actuator()
-            adj = AdjointState(sol.phi0, cfg.alpha, cfg.T)
+            adj = AdjointState(cfg.build_target().embed(sol.phi_hat), cfg.alpha, cfg.T)
             nodes = cfg.grid().nodes
             keep = nodes <= 0.75 * cfg.T
             obs = np.array([observation(act, adj, cfg.T - t) for t in nodes[keep]])
@@ -358,7 +389,7 @@ class TestSolve:
         sol = solve_rhum(cfg)
         act = cfg.build_actuator()
         tgt = cfg.build_target()
-        _, A = discrete_gramian(act, tgt, cfg.alpha, cfg.grid())
+        A = terminal_control_map(cfg.alpha, cfg.grid(), act)[tgt.annihilator]
         w = cfg.grid().weights
         rng = np.random.default_rng(19)
         base_energy = control_energy(sol.u_star, cfg.grid())

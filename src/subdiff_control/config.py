@@ -15,6 +15,14 @@ from .spectral import TimeGrid, _is_real
 _ACTUATOR_FIELDS = {"zone": {"kind", "a", "b"}, "pointwise": {"kind", "b"}}
 
 
+def _as_float(name: str, v) -> float:
+    """float(v); a number beyond the double range (say, a 400-digit int) is a ``ConfigError`` on ``name``."""
+    try:
+        return float(v)
+    except OverflowError as exc:
+        raise ConfigError(name, f"is beyond the double range: {exc}") from exc
+
+
 def _as_config_error(name: str, build) -> None:
     """Call ``build``; its ``DomainError`` becomes a ``ConfigError`` on field ``name``."""
     try:
@@ -54,12 +62,12 @@ class ProblemConfig:
     def __post_init__(self):
         if not _is_real(self.alpha):
             raise ConfigError("alpha", f"must be a number, got {self.alpha!r}")
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "alpha", _as_float("alpha", self.alpha))
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha", f"must lie strictly in (0,1), got {self.alpha!r}")
         # TimeGrid holds the rules for T and n_steps; a 2-step grid checks T alone
         _as_config_error("T", lambda: TimeGrid(self.T, 2))
-        object.__setattr__(self, "T", float(self.T))
+        object.__setattr__(self, "T", _as_float("T", self.T))
         v = self.n_modes
         if not (isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1):
             raise ConfigError("n_modes", f"must be an integer >= 1, got {v!r}")
@@ -69,7 +77,7 @@ class ProblemConfig:
         y0_is_array = isinstance(self.y0, (list, tuple, np.ndarray))
         if not (y0_is_array and all(_is_real(v) for v in self.y0)):
             raise ConfigError("y0", f"must be an array of numbers, got {self.y0!r}")
-        y0 = tuple(float(v) for v in self.y0)
+        y0 = tuple(_as_float("y0", v) for v in self.y0)
         object.__setattr__(self, "y0", y0)
         if len(y0) != self.n_modes:
             raise ConfigError("y0", f"must have n_modes = {self.n_modes} entries, got {len(y0)}")

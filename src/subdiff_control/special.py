@@ -2,35 +2,30 @@
 
 The two-parameter Mittag-Leffler function E_{p,q}(z) = sum_k z^k / Gamma(pk+q)
 drives every eigenmode of the sub-diffusion model, so it must be accurate for
-strongly negative real arguments.  Arrays of arguments go through
-:func:`mittag_leffler_array`, which uses
+strongly negative real arguments.  :func:`mittag_leffler_array` builds every
+table; for 0 < p < 1 an element z < 0 takes the first regime that certifies it:
 
-* for 0 < p < 1 and z < 0: the trapezoid rule on a parabolic contour for the
-  inverse Laplace integral, vectorized in float64; a value is certified when a
-  second pass with other nodes agrees with it and its rounding estimate holds,
-  both to 1e-10 relative,
-
-and sends every other element, and every element that fails its
-certificate, to the scalar :func:`mittag_leffler`, which has three regimes:
-
-* adaptive-precision power series (mpmath) wherever the series converges in a
-  manageable number of terms; precision is chosen from the predicted peak term
-  so alternating cancellation never eats the answer,
-* the algebraic asymptotic expansion -sum_{k>=1} z^{-k}/Gamma(q - pk) for
-  deeply negative z and p bounded away from 1 (optimal truncation, with the
-  first omitted term as a certified error bound and a series fallback),
-* the exponential asymptotic form for large positive z.
+* algebraic (p <= 0.98, x = |z|^(1/p) >= 40): -sum_{k<=m} z^{-k}/Gamma(q - pk)
+  by Horner's rule in 1/z, m per element, certified to 2^-53 relative,
+* batched contour: the trapezoid rule for the inverse Laplace integral on a
+  parabola, as (elements x nodes) float64 blocks; certified when a second pass
+  agrees with it and its rounding estimate holds, both to 1e-10 relative,
+* scalar: one :func:`mittag_leffler` call, as is every element outside
+  0 < p < 1, z < 0.  It tries the same algebraic expansion (so the two agree
+  bit for bit wherever it certifies), then the adaptive-precision mpmath power
+  series, whose precision follows the predicted peak term, or for large z > 0
+  the exponential asymptotic form.
 
 The stable density psi_alpha and the kernel phi_alpha come from Kanter's positive
 integral (Ann. Probab. 3 (1975) 697-707): one quadrature, certified or EvaluationError.
-Gamma, 1/Gamma and the contour kernel need only math and numpy; scipy.special (gammaln in
-the algebraic expansion's envelope), mpmath (the series) and scipy.integrate (Kanter) are
-imported on first use.
+Gamma, 1/Gamma, the algebraic expansion and the contour kernel need only math and
+numpy; mpmath (the series) and scipy.integrate (Kanter) are imported on first use.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,14 +33,22 @@ from .errors import DomainError, EvaluationError, PoleError
 
 _LOG10E = math.log10(math.e)
 
-# Switch points between the power series and the asymptotic branches,
-# expressed in x = |z|^(1/p).  At x = 25 the optimally truncated algebraic
-# expansion certifies ~1e-11 and the series needs only a few hundred terms,
-# so the two branches overlap safely.
-_X_ASYMPTOTIC_NEG = 25.0
+# Switch point of the positive axis between the series and the exponential form, in x = |z|^(1/p).
 _X_ASYMPTOTIC_POS = 30.0
 # Working-precision cap of the series; a peak term needing more digits is refused up front.
 _SERIES_MAX_DPS = 3000
+
+# The algebraic expansion serves p <= 0.98 (nearer 1 its terms all sit near gamma
+# poles) and x >= 40.  Its terms fall no lower than about e^{-x} (near k = x/p), so
+# the 2^-53 certificate needs x of about 37 or more: on a scan of p in [0.05, 0.98],
+# q in {1, p}, nothing certified below x = 38.6, so below 40 the contour is not delayed.
+_ALGEBRAIC_P_MAX = 0.98
+_ALGEBRAIC_X_MIN = 40.0
+_ALGEBRAIC_KMAX = 400
+_ALGEBRAIC_RTOL = 2.0**-53
+# m is the first k whose 2 env_{k+1} is below this share of the leading term: 4 bits
+# under the certificate, room for a value smaller than its leading term
+_ALGEBRAIC_TARGET = 2.0**-57
 
 # Trapezoid rule on the parabola s(u) = mu (1 + iu)^2, u = 0, h, ..., (n-1) h
 # (Weideman & Trefethen, Math. Comp. 76 (2007) 1341-1356).  The first pass
@@ -53,6 +56,7 @@ _SERIES_MAX_DPS = 3000
 _CONTOUR_MU = 32.0 * math.pi / 24.0
 _CONTOUR_PASSES = ((3.0 / 32.0, 33), (3.5 / 40.0, 41))  # (h, nodes)
 _CONTOUR_RTOL = 1e-10  # the passes must agree, and the rounding estimate hold, to this
+_CONTOUR_CHUNK = 128  # elements per (elements x nodes) block: small temporaries, few calls
 
 
 def gamma_fn(x: float) -> float:
@@ -134,49 +138,77 @@ def _ml_series(p: float, q: float, z: float, x: float) -> float:
     )
 
 
-def _ml_asymptotic_neg(p: float, q: float, z: float):
-    """Algebraic expansion for z << 0; returns None if it cannot certify.
+@lru_cache(maxsize=16)
+def _algebraic_terms(p: float, q: float):
+    """Truncation table of -sum_k z^{-k}/Gamma(q - pk), k <= KMAX: (g, reach, k0).
 
-    Individual terms z^{-k}/Gamma(q-pk) oscillate through gamma poles, so
-    optimal truncation is driven by the smooth envelope
-    |z|^{-k} Gamma(pk-q+1)/pi from the reflection formula, not by the raw
-    term magnitudes.
+    Term k is bounded by the smooth envelope env_k = |z|^{-k} Gamma(pk-q+1)/pi
+    (reflection formula; a crude but safe 10 |z|^{-k} where pk-q+1 <= 1/2), and
+    log env_k = g[k-1] - k log|z|.  k0 is the first k with 1/Gamma(q - pk) != 0
+    (None if none).  An element's m is the first k >= k0 whose 2 env_{k+1} is
+    below _ALGEBRAIC_TARGET of term k0's magnitude: m = k0 + i for the first i
+    with reach[i] <= log|z|, as reach is the running minimum of the log|z| each k needs.
     """
-    from scipy import special as sp  # here, not at the top: only scalar fallbacks reach it
-
-    kmax = 400
-    k = np.arange(1, kmax + 1)
-    log_abs_z = math.log(abs(z))
-    refl = p * k - q + 1.0
-    log_env = np.where(
-        refl > 0.5,
-        -k * log_abs_z + sp.gammaln(np.maximum(refl, 0.5)) - math.log(math.pi),
-        # crude but safe bound for the first few sub-reflection indices
-        -k * log_abs_z + math.log(10.0),
-    )
-    kmin = int(np.argmin(log_env))  # 0-based index of term k = kmin+1
-    err = 2.0 * math.exp(min(log_env[min(kmin + 1, kmax - 1)], 700.0))
-    acc = 0.0
-    zi = 1.0
-    for j in range(1, kmin + 2):
-        zi /= z
-        acc -= zi * _rgamma(q - p * j)
-        if abs(zi) <= 1e-320:
-            break
-    if err <= 1e-12 * max(abs(acc), 1e-300):
-        return acc
-    return None
+    y = p * np.arange(1, _ALGEBRAIC_KMAX + 1) - q + 1.0
+    g = np.array(list(map(math.lgamma, np.maximum(y, 0.5).tolist()))) - math.log(math.pi)
+    g[y <= 0.5] = math.log(10.0)
+    k0 = next((k for k in range(1, _ALGEBRAIC_KMAX) if _rgamma(q - p * k) != 0.0), None)
+    if k0 is None:
+        return g, np.empty(0), None
+    log_target = math.log(abs(_rgamma(q - p * k0)) * _ALGEBRAIC_TARGET / 2.0)
+    j = np.arange(k0 + 1, _ALGEBRAIC_KMAX + 1)
+    reach = np.minimum.accumulate((g[j - 1] - log_target) / (j - k0))
+    for arr in (g, reach):
+        arr.setflags(write=False)
+    return g, reach, k0
 
 
-def _ml_asymptotic_pos(p: float, q: float, z: float, x: float) -> float:
-    """Exponential expansion for z >> 0 (relative error ~ e^{-x})."""
-    if x > 700.0:
-        raise EvaluationError(
-            f"Mittag-Leffler overflows double precision (p={p}, q={q}, z={z})"
-        )
-    lead = (1.0 / p) * z ** ((1.0 - q) / p) * math.exp(x)
-    alg = _ml_asymptotic_neg(p, q, z)
-    return lead + (alg if alg is not None else 0.0)
+def _ml_algebraic(p: float, q: float, z: np.ndarray):
+    """The algebraic expansion on a 1-D array of finite nonzero z: (indices, values) it certifies.
+
+    -sum_{k<=m} z^{-k}/Gamma(q - pk) by Horner's rule in w = 1/z, m per element
+    from ``_algebraic_terms``, for x = |z|^(1/p) >= _ALGEBRAIC_X_MIN.  An element
+    is certified when 2 env_{m+1}, plus (2/p) x^{1-q} e^{x cos(pi/p)} for p > 2/3
+    (the exponentially small pair of terms that reaches the negative axis
+    there), is at most _ALGEBRAIC_RTOL |value|.  Each element's arithmetic is
+    the same whatever the other elements, so a one-element call gives the same bits.
+    """
+    g, reach, k0 = _algebraic_terms(p, q)
+    if k0 is None:
+        return np.empty(0, dtype=np.intp), np.empty(0)
+    log_z = np.abs(z)
+    np.log(log_z, out=log_z)
+    m = np.searchsorted(-reach, -log_z)  # reach is non-increasing
+    sel = np.flatnonzero((log_z >= p * math.log(_ALGEBRAIC_X_MIN)) & (m < reach.size))
+    # m falls as |z| grows, so in ascending |z| the elements with m >= k are a prefix
+    sel = sel[np.argsort(log_z[sel], kind="stable")]
+    log_z, m = log_z[sel], m[sel]
+    m += k0
+    k_top = int(m[0]) if sel.size else 0
+    active = np.searchsorted(-m, -np.arange(k_top, 0, -1), side="right")  # elements with m >= k
+    with np.errstate(over="ignore", under="ignore"):
+        # 2 env_{m+1}, formed in place of log|z| (the tables are large), plus for
+        # p > 2/3 the exponentially small pair of terms that reaches the negative axis
+        tail = ((2.0 / p) * np.exp((1.0 - q) / p * log_z + np.exp(log_z / p) * math.cos(math.pi / p))
+                if p > 2.0 / 3.0 else 0.0)
+        err = log_z
+        err *= -(m + 1)
+        err += g[m]
+        del m
+        np.exp(err, out=err)
+        err *= 2.0
+        err += tail
+    w = z[sel]
+    np.reciprocal(w, out=w)
+    acc = np.zeros(sel.size)
+    c = [_rgamma(q - p * k) for k in range(1, k_top + 1)]
+    for k, n in zip(range(k_top, 0, -1), active.tolist()):
+        acc[:n] *= w[:n]
+        acc[:n] += c[k - 1]
+    acc *= w
+    np.negative(acc, out=acc)
+    good = err <= _ALGEBRAIC_RTOL * np.abs(acc, out=w)
+    return sel[good], acc[good]
 
 
 def mittag_leffler(p: float, q: float, z: float) -> float:
@@ -195,34 +227,44 @@ def mittag_leffler(p: float, q: float, z: float) -> float:
     except OverflowError:  # beyond the double range: every branch reads x = inf correctly
         x = math.inf
     if z < 0.0:
-        # For p near 1 the algebraic terms all sit on gamma poles and the
-        # expansion degenerates, so stay on the (feasible) series there.
-        if p <= 0.98 and x > _X_ASYMPTOTIC_NEG:
-            val = _ml_asymptotic_neg(p, q, z)
-            if val is not None:
-                return val
+        if p <= _ALGEBRAIC_P_MAX:
+            val = _ml_algebraic(p, q, np.array([z]))[1]
+            if val.size:
+                return float(val[0])
         return _ml_series(p, q, z, x)
     if x <= _X_ASYMPTOTIC_POS:
         return _ml_series(p, q, z, x)
-    return _ml_asymptotic_pos(p, q, z, x)
+    if x > 700.0:
+        raise EvaluationError(f"Mittag-Leffler overflows double precision (p={p}, q={q}, z={z})")
+    # the exponential expansion (relative error ~ e^{-x}) plus the algebraic one where it certifies
+    alg = _ml_algebraic(p, q, np.array([z]))[1]
+    return (1.0 / p) * z ** ((1.0 - q) / p) * math.exp(x) + (float(alg[0]) if alg.size else 0.0)
 
 
-def _contour_sum(num: np.ndarray, s_p: np.ndarray, m, r, estimate: bool):
-    """Re sum_k num_k / (m s_p[k] - r) and, if ``estimate``, sum_k |num_k / (m s_p[k] - r)|.
+def _contour_sum(c: np.ndarray, sigma: np.ndarray, r: np.ndarray, estimate: bool):
+    """Re sum_k c_k / (sigma_k - r) for each real r and, if ``estimate``, sum_k |c_k / (sigma_k - r)|.
 
-    Node by node, so temporaries stay the size of m or r.  Every term is formed
-    to a few ulps, so the second sum times the machine epsilon estimates the
-    rounding error of the first, cancellation included (None without ``estimate``).
+    Batched as (elements x nodes) blocks of _CONTOUR_CHUNK elements.  Every term
+    is formed to a few ulps, so the second sum times the machine epsilon
+    estimates the rounding error of the first, cancellation included (None
+    without ``estimate``).
     """
-    shape = np.broadcast_shapes(np.shape(m), np.shape(r))
-    acc, mag = np.zeros(shape), (np.zeros(shape) if estimate else None)
-    for nk, ak, bk in zip(num.tolist(), s_p.real.tolist(), s_p.imag.tolist()):
-        d = ak * m - r
-        e = bk * m
-        den = d * d + e * e
-        acc += (nk.real * d + nk.imag * e) / den
+    acc, mag = np.empty(r.shape), (np.empty(r.shape) if estimate else None)
+    # c/(sigma - r) = c (d - i e)/(d^2 + e^2) with d = Re sigma - r, e = Im sigma
+    sr, e2, ci_e, c_abs = sigma.real, sigma.imag**2, c.imag * sigma.imag, np.abs(c)
+    for lo in range(0, r.size, _CONTOUR_CHUNK):
+        block = slice(lo, lo + _CONTOUR_CHUNK)
+        d = sr - r[block, None]
+        den = d * d
+        den += e2
+        d *= c.real
+        d += ci_e
+        d /= den
+        acc[block] = d.sum(axis=1)
         if estimate:
-            mag += abs(nk) / np.sqrt(den)
+            np.sqrt(den, out=den)
+            np.divide(c_abs, den, out=den)
+            mag[block] = den.sum(axis=1)
     return acc, mag
 
 
@@ -233,7 +275,7 @@ def _ml_contour(p: float, q: float, z: np.ndarray, h: float, n_nodes: int, estim
     leaves the cut and the poles of the principal sheet on its left; z is real,
     so only u >= 0 is summed.  For z < -1 the leading tail term is split off
     exactly, E = (w T - 1/Gamma(q-p)) w with w = 1/z and
-    T = (1/2 pi i) int e^s s^{2p-q}/(s^p w - 1) ds, so the sum no longer cancels
+    T = (1/2 pi i) int e^s s^{p-q}/(w - s^{-p}) ds, so the sum no longer cancels
     down to it and no term overflows for any finite z.  The estimates are None,
     and never formed, without ``estimate``.
     """
@@ -245,9 +287,9 @@ def _ml_contour(p: float, q: float, z: np.ndarray, h: float, n_nodes: int, estim
     val, err = np.empty_like(z), (np.empty_like(z) if estimate else None)
     far = z < -1.0
     near = ~far
-    val[near], near_err = _contour_sum(num, s_p, 1.0, z[near], estimate)
+    val[near], near_err = _contour_sum(num, s_p, z[near], estimate)
     w = 1.0 / z[far]
-    t, t_err = _contour_sum(num * s_p, s_p, w, 1.0, estimate)
+    t, t_err = _contour_sum(-num, 1.0 / s_p, w, estimate)
     val[far] = (w * t - _rgamma(q - p)) * w
     if estimate:
         eps = np.finfo(float).eps
@@ -258,11 +300,11 @@ def _ml_contour(p: float, q: float, z: np.ndarray, h: float, n_nodes: int, estim
 def mittag_leffler_array(p: float, q: float, z) -> np.ndarray:
     """E_{p,q} elementwise; every table of Mittag-Leffler values in the package is built here.
 
-    For 0 < p < 1 and z < 0 the value is the first contour pass, vectorized in
-    float64, where it is certified: the second pass agrees with it, and its
-    rounding estimate is met, to ``_CONTOUR_RTOL``.  Every other element, and
-    every element that fails its certificate, is one :func:`mittag_leffler`
-    call, in row-major order.
+    For 0 < p < 1 and z < 0 an element is the algebraic expansion where that
+    certifies (p <= _ALGEBRAIC_P_MAX), else the first contour pass where it is
+    certified: the second pass agrees with it, and its rounding estimate is
+    met, to ``_CONTOUR_RTOL``.  Every other element, and every element that
+    fails both certificates, is one :func:`mittag_leffler` call, in row-major order.
     """
     zs = np.asarray(z, dtype=float)
     flat = zs.ravel()
@@ -271,6 +313,11 @@ def mittag_leffler_array(p: float, q: float, z) -> np.ndarray:
     p, q = float(p), float(q)
     if 0.0 < p < 1.0 and math.isfinite(q):
         idx = np.flatnonzero((flat < 0.0) & np.isfinite(flat))
+        if p <= _ALGEBRAIC_P_MAX:
+            done, v = _ml_algebraic(p, q, flat[idx])
+            vals[idx[done]] = v
+            todo[idx[done]] = False
+            idx = idx[todo[idx]]
         zc = flat[idx]
         with np.errstate(all="ignore"):
             (h1, n1), (h2, n2) = _CONTOUR_PASSES

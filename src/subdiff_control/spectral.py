@@ -136,7 +136,7 @@ def propagator_factors(alpha: float, grid: TimeGrid, n_modes: int) -> np.ndarray
     """
     _check_alpha(alpha)
     # t^a by libm pow per node, as scalar callers form it (numpy's vectorized pow can
-    # round one ulp apart); the whole table is then one contour-kernel array call
+    # round one ulp apart); the whole table is then one array call
     z = np.outer(eigenvalues(n_modes), [t**alpha for t in grid.nodes[1:].tolist()])
     out = np.ones((n_modes, grid.n_steps + 1))
     out[:, 1:] = mittag_leffler_array(alpha, 1.0, z)

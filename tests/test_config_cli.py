@@ -266,6 +266,21 @@ class TestCliFailures:
         (tmp_path / "control.csv").write_bytes(b"t,u\n0,\xff\n")
         self._exit_cleanly(["verify", "--config", str(cfg_path), "--out", str(tmp_path)], capsys, 1)
 
+    # JSON reads a 400-digit number as an int, which float() refuses with OverflowError
+    @pytest.mark.parametrize("field", ["alpha", "T", "y0"])
+    def test_number_beyond_double_range_exits_1(self, tmp_path, field):
+        huge = 10**400
+        cfg_path = _write_cfg(tmp_path, **{field: [huge, 0.0, 0.0] if field == "y0" else huge})
+        env = dict(os.environ, PYTHONPATH=str(Path(subdiff_control.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "subdiff_control", "analyze", "--config", str(cfg_path),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert field in proc.stderr
+
     @pytest.mark.parametrize(
         "error,code",
         [

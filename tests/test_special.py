@@ -328,6 +328,21 @@ class TestMittagLefflerArray:
         out = mittag_leffler_array(0.7, 0.7, z)
         assert out.tolist() == [[mittag_leffler(0.7, 0.7, x) for x in row] for row in z.tolist()]
 
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.6, 0.9, 0.98])
+    @pytest.mark.parametrize("q_is_p", [False, True])
+    def test_algebraic_branch_against_the_series(self, p, q_is_p):
+        # x = |z|^(1/p) from the expansion's threshold to 300: what it certifies
+        # matches the mpmath series (an oracle that shares no code with it), and
+        # the scalar bit for bit
+        q = p if q_is_p else 1.0
+        z = -np.geomspace(special._ALGEBRAIC_X_MIN, 300.0, 6) ** p
+        done, alg = special._ml_algebraic(p, q, z)
+        assert done.size >= z.size - 1  # all but, at most, the point on the threshold
+        assert mittag_leffler_array(p, q, z)[done].tolist() == alg.tolist()
+        assert [mittag_leffler(p, q, zi) for zi in z[done].tolist()] == alg.tolist()
+        series = [special._ml_series(p, q, zi, abs(zi) ** (1.0 / p)) for zi in z[done].tolist()]
+        np.testing.assert_allclose(alg, series, rtol=1e-13, atol=0.0)
+
     def test_domain_errors(self):
         for z in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):

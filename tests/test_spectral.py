@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,18 @@ class TestPropagators:
         np.testing.assert_allclose(table[1, 3], expected, rtol=1e-13, atol=0.0)
         with pytest.raises(ValueError):
             table[1, 3] = 0.0
+
+    def test_node_table_memory_peak(self):
+        # placement_scan's table (alpha 0.6, N=8, n=1024), which the warm benchmark
+        # workloads fill during set-up: the kernels work in small blocks, so the
+        # peak stays a small multiple of the table whatever the grid
+        tracemalloc.start()
+        try:
+            table = propagator_factors(0.6, TimeGrid(1.0, 1024), 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * table.nbytes, peak / table.nbytes
 
     @pytest.mark.parametrize("alpha", [0.3, 0.7])
     def test_node_table_matches_scalar_calls(self, alpha):

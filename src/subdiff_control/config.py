@@ -13,6 +13,9 @@ from .errors import ConfigError, DomainError
 from .spectral import TimeGrid, _is_real
 
 _ACTUATOR_FIELDS = {"zone": {"kind", "a", "b"}, "pointwise": {"kind", "b"}}
+# Most node-table entries, n_modes x (n_steps + 1), a config may ask for (128 MiB of float64):
+# a larger table is refused here rather than failing to allocate mid-solve.
+MAX_TABLE_ENTRIES = 2**24
 
 
 def _as_float(name: str, v) -> float:
@@ -74,6 +77,8 @@ class ProblemConfig:
         object.__setattr__(self, "n_modes", int(v))
         _as_config_error("n_steps", self.grid)
         object.__setattr__(self, "n_steps", int(self.n_steps))
+        if self.n_modes * (self.n_steps + 1) > MAX_TABLE_ENTRIES:
+            raise ConfigError("n_steps", f"n_modes x (n_steps + 1) must be at most {MAX_TABLE_ENTRIES}")
         y0_is_array = isinstance(self.y0, (list, tuple, np.ndarray))
         if not (y0_is_array and all(_is_real(v) for v in self.y0)):
             raise ConfigError("y0", f"must be an array of numbers, got {self.y0!r}")

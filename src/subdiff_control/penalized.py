@@ -226,12 +226,11 @@ def epsilon_sweep(
     ref = solve_rhum(config)
     psys, shift, _ = _BUILDERS[residual_form](config, ref.system)
     grid, u_ref = ref.system.grid, ref.u_star
-    w = grid.weights
-    ref_norm = float(np.sqrt(np.dot(w, u_ref * u_ref)))
+    ref_norm = float(np.sqrt(2.0 * control_energy(u_ref, grid)))
     rows = []
     for e in eps:
         u, _, res_norm = _penalized(psys, shift, e)
-        dn = float(np.sqrt(np.dot(w, (u - u_ref) ** 2)))
+        dn = float(np.sqrt(2.0 * control_energy(u - u_ref, grid)))
         rel = dn / ref_norm if ref_norm > 0 else dn
         rows.append(SweepRow(e, control_energy(u, grid) + res_norm**2 / (2.0 * e), rel, res_norm))
     return rows

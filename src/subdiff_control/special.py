@@ -8,7 +8,7 @@ table; for 0 < p < 1 an element z < 0 takes the first regime that certifies it:
 * algebraic (p <= 0.98, x = |z|^(1/p) >= 40): -sum_{k<=m} z^{-k}/Gamma(q - pk)
   by Horner's rule in 1/z, m per element, certified to 2^-53 relative,
 * batched contour: the trapezoid rule for the inverse Laplace integral on a
-  parabola, as (elements x nodes) float64 blocks; certified when a second pass
+  parabola, as (elements x nodes) complex128 blocks; certified when a second pass
   agrees with it and its rounding estimate holds, both to 1e-10 relative,
 * scalar: one :func:`mittag_leffler` call, as is every element outside
   0 < p < 1, z < 0.  It tries the same algebraic expansion (so the two agree
@@ -244,27 +244,18 @@ def mittag_leffler(p: float, q: float, z: float) -> float:
 def _contour_sum(c: np.ndarray, sigma: np.ndarray, r: np.ndarray, estimate: bool):
     """Re sum_k c_k / (sigma_k - r) for each real r and, if ``estimate``, sum_k |c_k / (sigma_k - r)|.
 
-    Batched as (elements x nodes) blocks of _CONTOUR_CHUNK elements.  Every term
+    Batched as (elements x nodes) complex128 blocks of _CONTOUR_CHUNK elements.  Every term
     is formed to a few ulps, so the second sum times the machine epsilon
     estimates the rounding error of the first, cancellation included (None
     without ``estimate``).
     """
     acc, mag = np.empty(r.shape), (np.empty(r.shape) if estimate else None)
-    # c/(sigma - r) = c (d - i e)/(d^2 + e^2) with d = Re sigma - r, e = Im sigma
-    sr, e2, ci_e, c_abs = sigma.real, sigma.imag**2, c.imag * sigma.imag, np.abs(c)
     for lo in range(0, r.size, _CONTOUR_CHUNK):
         block = slice(lo, lo + _CONTOUR_CHUNK)
-        d = sr - r[block, None]
-        den = d * d
-        den += e2
-        d *= c.real
-        d += ci_e
-        d /= den
-        acc[block] = d.sum(axis=1)
+        terms = c / (sigma - r[block, None])
+        acc[block] = terms.real.sum(axis=1)
         if estimate:
-            np.sqrt(den, out=den)
-            np.divide(c_abs, den, out=den)
-            mag[block] = den.sum(axis=1)
+            mag[block] = np.abs(terms).sum(axis=1)
     return acc, mag
 
 
@@ -304,7 +295,7 @@ def mittag_leffler_array(p: float, q: float, z) -> np.ndarray:
     certifies (p <= _ALGEBRAIC_P_MAX), else the first contour pass where it is
     certified: the second pass agrees with it, and its rounding estimate is
     met, to ``_CONTOUR_RTOL``.  Every other element, and every element that
-    fails both certificates, is one :func:`mittag_leffler` call, in row-major order.
+    fails both certificates, is one :func:`mittag_leffler` call.
     """
     zs = np.asarray(z, dtype=float)
     flat = zs.ravel()

@@ -135,9 +135,7 @@ def propagator_factors(alpha: float, grid: TimeGrid, n_modes: int) -> np.ndarray
     as ``_modes(...).factors``, which memoizes it, so a warm problem builds nothing.
     """
     _check_alpha(alpha)
-    # t^a by libm pow per node, as scalar callers form it (numpy's vectorized pow can
-    # round one ulp apart); the whole table is then one array call
-    z = np.outer(eigenvalues(n_modes), [t**alpha for t in grid.nodes[1:].tolist()])
+    z = np.outer(eigenvalues(n_modes), grid.nodes[1:] ** alpha)
     out = np.ones((n_modes, grid.n_steps + 1))
     out[:, 1:] = mittag_leffler_array(alpha, 1.0, z)
     out.setflags(write=False)

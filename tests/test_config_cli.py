@@ -14,6 +14,7 @@ import subdiff_control
 from subdiff_control import cli
 from subdiff_control.cli import main
 from subdiff_control.config import (
+    MAX_TABLE_ENTRIES,
     ProblemConfig,
     Tolerances,
     load_config,
@@ -72,6 +73,13 @@ class TestValidation:
             ProblemConfig(**{**_cfg_dict(), "y0": (1.0, 0.0, 0.0),
                              "target_modes": (2, 3), field: value})
         assert exc.value.field == field
+
+    def test_node_table_bound(self):
+        one_mode = {**_cfg_dict(), "n_modes": 1, "y0": (1.0,), "target_modes": ()}
+        ProblemConfig(**{**one_mode, "n_steps": MAX_TABLE_ENTRIES - 1})  # exactly at the bound
+        with pytest.raises(ConfigError) as exc:
+            ProblemConfig(**{**one_mode, "n_steps": MAX_TABLE_ENTRIES})
+        assert exc.value.field == "n_steps"
 
     def test_y0_length_and_finiteness(self):
         with pytest.raises(ConfigError) as exc:
@@ -280,6 +288,20 @@ class TestCliFailures:
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         assert field in proc.stderr
+
+    # a node table that could not be allocated (7 TiB, or beyond numpy's size limit) is a config error
+    @pytest.mark.parametrize("n_steps", [10**12, 10**400], ids=["1e12", "1e400"])
+    def test_node_table_beyond_bound_exits_1(self, tmp_path, n_steps):
+        cfg_path = _write_cfg(tmp_path, n_steps=n_steps)
+        env = dict(os.environ, PYTHONPATH=str(Path(subdiff_control.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "subdiff_control", "analyze", "--config", str(cfg_path),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "n_steps" in proc.stderr
 
     @pytest.mark.parametrize(
         "error,code",

@@ -343,6 +343,26 @@ class TestMittagLefflerArray:
         series = [special._ml_series(p, q, zi, abs(zi) ** (1.0 / p)) for zi in z[done].tolist()]
         np.testing.assert_allclose(alg, series, rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("q_is_p", [False, True])
+    def test_contour_rounding_estimate_bounds_the_error(self, monkeypatch, p, q_is_p):
+        # the certificate rests on eps x the magnitude sum bounding the rounding error of
+        # the real-part sum, cancellation included: check it against the same float
+        # terms summed in 40 digits, for the first pass's near and far sums
+        q = p if q_is_p else 1.0
+        sums, contour_sum = [], special._contour_sum
+        monkeypatch.setattr(special, "_contour_sum", lambda *args: sums.append(args) or contour_sum(*args))
+        near, far = -np.geomspace(1e-6, 1.0, 25), -np.geomspace(1e4, 1.0, 25, endpoint=False)
+        special._ml_contour(p, q, np.concatenate([near, far]), *special._CONTOUR_PASSES[0], estimate=True)
+        assert [r.size for _, _, r, _ in sums] == [25, 25]
+        for c, sigma, r, _ in sums:
+            acc, mag = contour_sum(c, sigma, r, True)
+            with mp.workdps(40):
+                ref = [float(sum(mp.re(mp.mpc(ck) / (mp.mpc(sk) - ri))
+                                 for ck, sk in zip(c.tolist(), sigma.tolist())))
+                       for ri in r.tolist()]
+            assert np.all(np.abs(acc - ref) <= np.finfo(float).eps * mag)
+
     def test_domain_errors(self):
         for z in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):

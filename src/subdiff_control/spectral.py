@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -61,10 +62,17 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not (_is_real(self.T) and 0.0 < self.T < math.inf):
-            raise DomainError(f"horizon must be a finite positive number, got {self.T!r}")
+        # <= max, not < inf: an int beyond the double range (10**400) is below inf
+        if not (_is_real(self.T) and 0.0 < self.T <= sys.float_info.max):
+            raise DomainError(f"horizon must be a positive number within the double range, got {self.T!r}")
         if not (isinstance(self.n_steps, numbers.Integral) and self.n_steps >= 2):
             raise DomainError(f"need an integer number of steps >= 2, got {self.n_steps!r}")
+        # h must be a normal double: a subnormal h/2 can round to 0 and zero every trapezoid weight.
+        # Tested as n_steps <= T / min, since T / n_steps overflows for n_steps = 10**400.
+        if not self.n_steps <= self.T / sys.float_info.min:
+            raise DomainError(
+                f"step T/n_steps must be at least {sys.float_info.min!r}, got T={self.T!r}, n_steps={self.n_steps!r}"
+            )
 
     @property
     def h(self) -> float:

@@ -9,6 +9,7 @@ synthesized control, and deterministic artifacts.
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +47,9 @@ from subdiff_control.special import (
     phi_alpha_moment,
     psi_alpha,
 )
+
+# The shipped example configurations (the README's Examples section runs them).
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # Lower cutoffs below which the one-sided stable density is certified
 # negligible (stretched-exponential decay puts it under ~1e-12 there).
@@ -208,6 +212,9 @@ class TestCriterion4ZoneExample:
         target_modes=(2, 3, 4, 5),
     )
 
+    def test_shipped_config_is_this_example(self):
+        assert load_config(CONFIGS / "zone.json") == ProblemConfig(**self.CFG)
+
     def test_influence_product_of_sines(self):
         a, b = 0.2, 0.5
         act = make_zone(a, b, 10)
@@ -231,6 +238,19 @@ class TestCriterion4ZoneExample:
 
 
 class TestCriterion5PointwiseExample:
+    CFG = dict(
+        alpha=0.4,
+        T=1.0,
+        n_modes=5,
+        n_steps=256,
+        y0=(1.0, 0.0, 0.0, 0.0, 0.0),
+        actuator={"kind": "pointwise", "b": 1.0 / 3.0},
+        target_modes=(2, 3, 4, 5),  # annihilator = span{e1}: avoids mode 3
+    )
+
+    def test_shipped_config_is_this_example(self):
+        assert load_config(CONFIGS / "pointwise_reachable.json") == ProblemConfig(**self.CFG)
+
     def test_dead_mode_detected_exactly(self):
         act = make_pointwise(1.0 / 3.0, 6)
         assert abs(act[2]) <= 1e-12
@@ -239,35 +259,30 @@ class TestCriterion5PointwiseExample:
         assert dead_modes(act, tgt) == [3, 6]
 
     def test_transfer_when_annihilator_avoids_dead_mode(self):
-        cfg = ProblemConfig(
-            alpha=0.4,
-            T=1.0,
-            n_modes=5,
-            n_steps=256,
-            y0=(1.0, 0.0, 0.0, 0.0, 0.0),
-            actuator={"kind": "pointwise", "b": 1.0 / 3.0},
-            target_modes=(2, 3, 4, 5),  # annihilator = span{e1}: avoids mode 3
-        )
+        cfg = ProblemConfig(**self.CFG)
         sol = solve_rhum(cfg)
         report = verify_transfer(cfg, sol.u_star)
         assert report.distance_to_G <= 1e-4
 
-    def test_cli_exits_2_when_annihilator_contains_dead_mode(self, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(
-            json.dumps(
-                {
-                    "alpha": 0.4,
-                    "T": 1.0,
-                    "n_modes": 5,
-                    "n_steps": 64,
-                    "y0": [0.0, 0.0, 1.0, 0.0, 0.0],
-                    "actuator": {"kind": "pointwise", "b": 1.0 / 3.0},
-                    "target_modes": [1, 2, 4, 5],  # annihilator contains e3
-                }
-            ),
-            encoding="utf-8",
-        )
+    @pytest.mark.parametrize("shipped", [False, True], ids=["n64", "shipped"])
+    def test_cli_exits_2_when_annihilator_contains_dead_mode(self, tmp_path, shipped):
+        cfg_path = CONFIGS / "pointwise_dead_mode.json"  # the same problem at n = 256
+        if not shipped:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(
+                json.dumps(
+                    {
+                        "alpha": 0.4,
+                        "T": 1.0,
+                        "n_modes": 5,
+                        "n_steps": 64,
+                        "y0": [0.0, 0.0, 1.0, 0.0, 0.0],
+                        "actuator": {"kind": "pointwise", "b": 1.0 / 3.0},
+                        "target_modes": [1, 2, 4, 5],  # annihilator contains e3
+                    }
+                ),
+                encoding="utf-8",
+            )
         code = main(["synthesize", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 2
 
@@ -362,6 +377,9 @@ class TestCriterion7PenalizationSweep:
         actuator={"kind": "pointwise", "b": 1.0 / 3.0},
         target_modes=(2, 3, 4, 5),
     )
+
+    def test_shipped_config_is_this_example(self):
+        assert load_config(CONFIGS / "sweep.json") == ProblemConfig(**self.CFG)
 
     def test_sweep_cross_validates_synthesis(self):
         cfg = ProblemConfig(**self.CFG)

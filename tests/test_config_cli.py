@@ -29,6 +29,20 @@ from subdiff_control.errors import (
 )
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# The README's example commands, grouped by output directory, each with its documented exit code.
+README_EXAMPLES = {
+    "zone": [(["synthesize", "--config", "zone.json"], 0), (["verify", "--config", "zone.json"], 0)],
+    "pointwise": [
+        (["analyze", "--config", "pointwise_reachable.json"], 0),
+        (["synthesize", "--config", "pointwise_reachable.json"], 0),
+    ],
+    "dead_mode": [(["synthesize", "--config", "pointwise_dead_mode.json"], 2)],  # mode 3 is dead
+    "sweep": [(["sweep", "--config", "sweep.json", "--eps", "1e-1,1e-3,1e-5"], 0)],
+}
+
+
 def _cfg_dict(**overrides):
     base = {
         "alpha": 0.6,
@@ -47,6 +61,15 @@ def _write_cfg(tmp_path, name="cfg.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(_cfg_dict(**overrides)), encoding="utf-8")
     return path
+
+
+def _run_cli(command, cfg_path, out):
+    """Run ``python -m subdiff_control`` in a fresh process, so a traceback reaches stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(subdiff_control.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "subdiff_control", command, "--config", str(cfg_path), "--out", str(out)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
 
 
 class TestValidation:
@@ -279,12 +302,7 @@ class TestCliFailures:
     def test_number_beyond_double_range_exits_1(self, tmp_path, field):
         huge = 10**400
         cfg_path = _write_cfg(tmp_path, **{field: [huge, 0.0, 0.0] if field == "y0" else huge})
-        env = dict(os.environ, PYTHONPATH=str(Path(subdiff_control.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "subdiff_control", "analyze", "--config", str(cfg_path),
-             "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, timeout=60, env=env,
-        )
+        proc = _run_cli("analyze", cfg_path, tmp_path / "out")
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         assert field in proc.stderr
@@ -293,15 +311,28 @@ class TestCliFailures:
     @pytest.mark.parametrize("n_steps", [10**12, 10**400], ids=["1e12", "1e400"])
     def test_node_table_beyond_bound_exits_1(self, tmp_path, n_steps):
         cfg_path = _write_cfg(tmp_path, n_steps=n_steps)
-        env = dict(os.environ, PYTHONPATH=str(Path(subdiff_control.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "subdiff_control", "analyze", "--config", str(cfg_path),
-             "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, timeout=60, env=env,
-        )
+        proc = _run_cli("analyze", cfg_path, tmp_path / "out")
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "n_steps" in proc.stderr
+
+    # a step T/n_steps below the smallest normal double zeroes the trapezoid weights; the field
+    # named is T when even a 2-step grid is too fine, else n_steps
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            ({"T": 5e-324}, "T"),
+            ({"T": 1e-320, "n_steps": 4096}, "T"),
+            ({"T": 1e-303, "n_steps": 10**6, "n_modes": 1, "y0": [1.0], "target_modes": []}, "n_steps"),
+        ],
+        ids=["T5e-324", "T1e-320-n4096", "T1e-303-n1e6"],
+    )
+    def test_subnormal_step_exits_1(self, tmp_path, overrides, field):
+        cfg_path = _write_cfg(tmp_path, **overrides)
+        proc = _run_cli("synthesize", cfg_path, tmp_path / "out")
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"configuration error: {field}:" in proc.stderr
 
     @pytest.mark.parametrize(
         "error,code",
@@ -476,12 +507,7 @@ class TestCliAnalyze:
     def test_near_classical_probe_ends_in_seconds(self, tmp_path):
         cfg_path = tmp_path / "probe.json"
         cfg_path.write_text(json.dumps(self.PROBE), encoding="utf-8")
-        env = dict(os.environ, PYTHONPATH=str(Path(subdiff_control.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "subdiff_control", "analyze", "--config", str(cfg_path),
-             "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, timeout=60, env=env,
-        )
+        proc = _run_cli("analyze", cfg_path, tmp_path / "out")
         assert proc.returncode in (0, 1, 2, 3, 4), proc.stderr  # the documented exit codes
         assert "Traceback" not in proc.stderr
 
@@ -530,3 +556,13 @@ def test_no_exported_name_is_another_ones_alias():
     for name, obj in public.items():
         names_of.setdefault(id(obj), []).append(name)
     assert [names for names in names_of.values() if len(names) > 1] == []
+
+
+@pytest.mark.parametrize("example", list(README_EXAMPLES))
+def test_readme_examples_exit_as_documented(tmp_path, example):
+    for argv, code in README_EXAMPLES[example]:
+        argv = [str(CONFIGS / a) if a.endswith(".json") else a for a in argv]
+        assert main([*argv, "--out", str(tmp_path)]) == code, argv
+    for name in ("report.json", "verify_report.json"):
+        if (tmp_path / name).exists():
+            assert json.loads((tmp_path / name).read_text())["within_tolerance"] is True

@@ -547,7 +547,7 @@ def test_synthesize_leaves_mpmath_unloaded(tmp_path):
 
 def test_cli_run_loads_neither_scipy_nor_mpmath(tmp_path):
     # gamma is math.gamma, the Toeplitz maps are numpy, and the zone example's config
-    # (scripts/run_zone_example.py) certifies every table value on the contour, so a
+    # (configs/zone.json) certifies every table value on the contour, so a
     # synthesize and a verify reach neither the scalar series nor any scipy path
     cfg = {"alpha": 0.4, "T": 1.0, "n_modes": 5, "n_steps": 256, "y0": [1.0, 0.0, 0.0, 0.0, 0.0],
            "actuator": {"kind": "zone", "a": 0.2, "b": 0.5}, "target_modes": [2, 3, 4, 5],

@@ -10,7 +10,8 @@ a pointwise actuator at b has b_i = sqrt(2) sin(i pi b).  A target subspace G
 is spanned by a set of eigenmodes, so its annihilator (the orthogonal
 complement, in coordinates) is the set of the other modes: every product with
 the annihilator basis is an index selection, and its transpose a scatter.
-``dead_modes`` and ``eec_criterion`` are the two tests of ``rhum.require_reachable``.
+``rhum.require_reachable`` refuses a target whose annihilator touches one of
+the ``dead_modes``, or whose least-norm control misses it (``eec_criterion``).
 """
 
 from __future__ import annotations
@@ -101,9 +102,8 @@ def is_strategic(b: np.ndarray, target: TargetSubspace) -> dict:
 def eec_criterion(gramian, rhs: np.ndarray, verify_distance: float) -> bool:
     """Exact enlarged controllability: some control steers the free final state into G.
 
-    ``gramian`` is the ``rhum.Gramian`` G = V diag(sigma^2) V^T on the annihilator
-    and ``rhs`` the steering right-hand side c.  The least-norm control at the
-    rank cut misses G by c's part along the columns of V past ``gramian.rank``;
-    returns True when that miss is at most ``verify_distance``.
+    ``gramian`` is the ``rhum.Gramian`` on the annihilator and ``rhs`` the
+    steering right-hand side c.  True when the least-norm control at the rank
+    cut (``Gramian.least_norm``) misses G by at most ``verify_distance``.
     """
-    return gramian.range_miss(rhs) <= verify_distance
+    return gramian.least_norm(rhs)[2] <= verify_distance

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .actuators import is_strategic
 from .config import ProblemConfig, load_config
 from .errors import (
     ConfigError,
@@ -97,8 +98,7 @@ def _analysis_payload(config: ProblemConfig, system: SteeringSystem) -> dict:
     else:
         eec = True
     return {
-        "strategic": not system.dead_modes,
-        "dead_modes": system.dead_modes,
+        **is_strategic(system.influence, system.target),
         "eec": eec,
         "gramian_condition": gram.condition_number(),
         "gramian_min_eigenvalue": gram.min_eigenvalue(),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -44,7 +44,7 @@ class Tolerances:
             raise ConfigError("tolerances.verify_distance", f"must lie in (0, inf), got {v!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ProblemConfig:
     """Full description of one steering problem.
 
@@ -96,8 +96,8 @@ class ProblemConfig:
         if kind not in kinds:  # a tuple: an unhashable kind compares unequal, it does not raise
             raise ConfigError("actuator.kind", f"must be one of {kinds}, got {kind!r}")
         if set(act) != _ACTUATOR_FIELDS[kind]:
-            fields = sorted(_ACTUATOR_FIELDS[kind])
-            raise ConfigError("actuator", f"a {kind} actuator has exactly {fields}, got {act!r}")
+            keys = sorted(_ACTUATOR_FIELDS[kind])
+            raise ConfigError("actuator", f"a {kind} actuator has exactly {keys}, got {act!r}")
         _as_config_error("actuator", self.build_actuator)
         _as_config_error("target_modes", self.build_target)
         object.__setattr__(self, "target_modes", tuple(int(i) for i in self.target_modes))
@@ -121,26 +121,14 @@ class ProblemConfig:
 
     # --- serialization --------------------------------------------------
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "T": self.T,
-            "n_modes": self.n_modes,
-            "n_steps": self.n_steps,
-            "y0": list(self.y0),
-            "actuator": dict(self.actuator),
-            "target_modes": list(self.target_modes),
-            "tolerances": {"verify_distance": self.tolerances.verify_distance},
-        }
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ProblemConfig) and self.to_dict() == other.to_dict()
+        return asdict(self)
 
 
 def loads_config(data: dict) -> ProblemConfig:
     """Validate a parsed JSON document into a ProblemConfig."""
     if not isinstance(data, dict):
         raise ConfigError("<root>", f"expected a JSON object, got {type(data).__name__}")
-    required = ["alpha", "T", "n_modes", "n_steps", "y0", "actuator", "target_modes"]
+    required = [f.name for f in fields(ProblemConfig) if f.name != "tolerances"]
     for key in required:
         if key not in data:
             raise ConfigError(key, "missing required field")

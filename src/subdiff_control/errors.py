@@ -26,7 +26,7 @@ class QuadratureError(SubdiffError, RuntimeError):
 
 
 class SingularGramianError(SubdiffError, RuntimeError):
-    """No control reaches G within ``verify_distance``: the Gramian is rank-deficient at this n."""
+    """No control reaches G within ``verify_distance``: its least-norm control misses G."""
 
 
 class InfeasibleError(SubdiffError, RuntimeError):

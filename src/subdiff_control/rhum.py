@@ -22,10 +22,12 @@ Problems*, SIAM 1998).  Two routes build B:
 
 B is the one stored copy of the control-to-state map: A u = B^T W^{1/2} u,
 so a control u = W^{-1/2} v lands at A u = B^T v.  ``steering_system``
-assembles a problem's system (b, c, Gramian, dead modes; w is
-``grid.weights``) once; ``require_reachable`` is the one reachability rule,
-for synthesis, penalization and ``analyze``'s ``eec``.  Synthesis is
-``Gramian.solve`` at delta = 0 and penalization at delta > 0.
+assembles a problem's system (b, c, Gramian; w is ``grid.weights``) once;
+``require_reachable`` is the one reachability rule, for synthesis,
+penalization and ``analyze``'s ``eec``: it makes the least-norm solve
+(``Gramian.least_norm``, ``Gramian.solve`` at delta = 0), refuses when its
+miss exceeds ``verify_distance`` and returns it, so the synthesis ships the
+control the rule judged.  Penalization is ``Gramian.solve`` at delta > 0.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .actuators import TargetSubspace, dead_modes, eec_criterion
+from .actuators import TargetSubspace, dead_modes
 from .config import ProblemConfig
 from .errors import DomainError, NonStrategicError, QuadratureError, SingularGramianError
 from .spectral import (
@@ -114,9 +116,10 @@ class Gramian:
         d = (Vt[:k] @ c) / (sigma[:k] ** 2 + delta)
         return U[: self.factor.shape[0], :k] @ (sigma[:k] * d), Vt[:k].T @ d
 
-    def range_miss(self, c: np.ndarray) -> float:
-        """|A u - c| of the least-norm control: c's part past V's first ``rank`` columns."""
-        return float(np.linalg.norm(self.svd[2][self.rank:] @ c))
+    def least_norm(self, c: np.ndarray) -> tuple:
+        """(v, phi, miss): ``solve(c)`` at delta = 0 and its miss |B^T v - c| = |A u - c|."""
+        v, phi = self.solve(c)
+        return v, phi, float(np.linalg.norm(self.factor.T @ v - c))
 
     def condition_number(self) -> float:
         """(sigma_max / sigma_min)^2, or inf where sigma_min is below the rank cut."""
@@ -181,7 +184,6 @@ class SteeringSystem:
     grid: TimeGrid         # its ``weights`` are the trapezoid weights w
     gramian: Gramian       # factor B = W^{-1/2} A^T holds the map A
     c: np.ndarray          # -(R(T) y0)[annihilator], the annihilator coordinates to cancel
-    dead_modes: list       # 1-based modes the annihilator touches with no influence
 
 
 def steering_system(config: ProblemConfig) -> SteeringSystem:
@@ -192,31 +194,30 @@ def steering_system(config: ProblemConfig) -> SteeringSystem:
     gram = discrete_gramian(b, target, config.alpha, grid)
     free_T = _modes(config.alpha, grid, config.n_modes).factors[:, -1] * config.y0_array()
     c = -free_T[target.annihilator]
-    return SteeringSystem(b, target, grid, gram, c, dead_modes(b, target))
+    return SteeringSystem(b, target, grid, gram, c)
 
 
-def _rank_refusal(system: SteeringSystem, miss: float, verify_distance: float):
-    """Refusal of a c outside the Gramian's numerical range: its rank, the grid and the miss."""
-    m, n = system.c.size, system.grid.n_steps
-    msg = (f"the Gramian has numerical rank {system.gramian.rank} of {m} at n_steps={n}; "
-           f"its least-norm control misses G by {miss:.3e} > verify_distance={verify_distance:.1e}")
-    if n + 1 < m:
-        msg += f"; {n + 1} control samples cannot meet {m} annihilator conditions"
-    return SingularGramianError(msg)
+def require_reachable(system: SteeringSystem, verify_distance: float) -> tuple:
+    """The least-norm solve (v, phi, miss) of G phi = c, if its control reaches G.
 
-
-def require_reachable(system: SteeringSystem, verify_distance: float) -> None:
-    """Raise unless some control steers the free final state into G within ``verify_distance``.
-
-    ``NonStrategicError`` when the annihilator touches a dead mode and c != 0;
-    ``SingularGramianError`` when the least-norm control at the Gramian's rank
-    cut misses G by more than ``verify_distance`` (``eec_criterion`` fails).
+    Raises ``NonStrategicError`` when the annihilator touches a dead mode and
+    c != 0, and ``SingularGramianError`` when the least-norm control at the
+    Gramian's rank cut misses G, |A u - c| = |B^T v - c|, by more than
+    ``verify_distance``; the message gives the rank, the grid and the miss.
     """
     gram, c = system.gramian, system.c
-    if system.dead_modes and float(np.linalg.norm(c)) != 0.0:
-        raise NonStrategicError(system.dead_modes)
-    if not eec_criterion(gram, c, verify_distance):
-        raise _rank_refusal(system, gram.range_miss(c), verify_distance)
+    dead = dead_modes(system.influence, system.target)
+    if dead and float(np.linalg.norm(c)) != 0.0:
+        raise NonStrategicError(dead)
+    v, phi, miss = gram.least_norm(c)
+    if not miss <= verify_distance:
+        m, n = c.size, system.grid.n_steps
+        msg = (f"the Gramian has numerical rank {gram.rank} of {m} at n_steps={n}; "
+               f"its least-norm control misses G by {miss:.3e} > verify_distance={verify_distance:.1e}")
+        if n + 1 < m:
+            msg += f"; {n + 1} control samples cannot meet {m} annihilator conditions"
+        raise SingularGramianError(msg)
+    return v, phi, miss
 
 
 @dataclass(frozen=True)
@@ -237,18 +238,17 @@ def solve_rhum(config: ProblemConfig) -> RhumSolution:
     Minimizes the trapezoid-weighted control energy subject to the terminal
     state landing in the target subspace, which is exactly the adjoint-seed
     normal-equation solve in the weighted geometry: ``Gramian.solve`` at delta = 0,
-    u = W^{-1/2} B phi over the singular values above numpy's rank cut.  Refuses through
-    ``require_reachable``, and when |A u - c| = |B^T v - c|, the simulated miss up
-    to rounding, of the computed control exceeds ``tolerances.verify_distance``.
+    u = W^{-1/2} B phi over the singular values above numpy's rank cut.  That
+    solve is ``require_reachable``'s, which refuses it when its miss |A u - c|,
+    the simulated miss up to rounding, exceeds ``tolerances.verify_distance``.
     """
     system = steering_system(config)
-    vd = config.tolerances.verify_distance
-    require_reachable(system, vd)
-    gram, c = system.gramian, system.c
+    v, phi_hat, miss = require_reachable(system, config.tolerances.verify_distance)
+    c = system.c
     if float(np.linalg.norm(c)) == 0.0:  # includes G = whole space (no annihilator)
         zero = np.zeros(system.grid.n_steps + 1)
         return RhumSolution(np.zeros(c.size), zero, 0.0, system)
-    cond = gram.condition_number()
+    cond = system.gramian.condition_number()
     if cond > COND_WARN_THRESHOLD:
         warnings.warn(
             f"Gramian condition number {cond:.3e} exceeds {COND_WARN_THRESHOLD:.0e}; "
@@ -256,10 +256,6 @@ def solve_rhum(config: ProblemConfig) -> RhumSolution:
             RuntimeWarning,
             stacklevel=2,
         )
-    v, phi_hat = gram.solve(c)
-    miss = float(np.linalg.norm(gram.factor.T @ v - c))  # A u* = B^T v
-    if not miss <= vd:
-        raise _rank_refusal(system, miss, vd)
     resid = miss / float(np.linalg.norm(c))  # = |G phi_hat - c| / |c|
     return RhumSolution(phi_hat, v / np.sqrt(system.grid.weights), resid, system)
 

@@ -1,5 +1,6 @@
 """Tests for the adjoint-seed synthesis of minimum-energy steering controls."""
 
+import dataclasses
 import functools
 import math
 import warnings
@@ -9,8 +10,8 @@ import pytest
 from scipy.integrate import quad
 
 from subdiff_control.actuators import make_pointwise, make_target, make_zone
-from subdiff_control.cli import _analysis_payload
-from subdiff_control.config import ProblemConfig
+from subdiff_control.cli import _analysis_payload, main
+from subdiff_control.config import ProblemConfig, Tolerances, save_config
 from subdiff_control.errors import (
     DomainError,
     NonStrategicError,
@@ -18,6 +19,7 @@ from subdiff_control.errors import (
     SingularGramianError,
     SubdiffError,
 )
+from subdiff_control.penalized import PenalizedProblem, solve_penalized
 from subdiff_control.rhum import (
     AdjointState,
     Gramian,
@@ -426,28 +428,72 @@ def _random_config(rng):
     )
 
 
+def _refuses(fn, *args) -> bool:
+    try:
+        fn(*args)
+    except SubdiffError:
+        return True
+    return False
+
+
 def test_returned_controls_land_within_verify_distance():
     # Over the validator's domain, the synthesis either refuses with a typed
-    # error or returns a control whose simulated miss is within tolerance,
-    # and analyze's eec is true exactly when it returns.
+    # error or returns a control whose simulated miss is within tolerance;
+    # analyze's eec is true exactly when it returns, and the penalization
+    # refuses exactly when it refuses.
     rng = np.random.default_rng(20261019)
     returned = 0
     for _ in range(200):
         cfg = _random_config(rng)
-        eec = None
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                eec = _analysis_payload(cfg, steering_system(cfg))["eec"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            eec = _analysis_payload(cfg, steering_system(cfg))["eec"]
+            penalty_refused = _refuses(solve_penalized, PenalizedProblem(cfg, 1e-3, "mild"))
+            try:
                 sol = solve_rhum(cfg)
-        except SubdiffError:
-            assert not eec, cfg
-            continue
-        assert eec, cfg
+            except SubdiffError:
+                assert not eec and penalty_refused, cfg
+                continue
+        assert eec and not penalty_refused, cfg
         returned += 1
         miss = verify_transfer(cfg, sol.u_star).distance_to_G
         assert miss <= cfg.tolerances.verify_distance, cfg
     assert returned >= 100
+
+
+def test_one_verdict_at_every_tolerance(tmp_path):
+    # Config #91 of ``_random_config`` at seed 20261019: its Gramian has full
+    # numerical rank, so c has no part outside its range, yet the least-norm
+    # control misses G through rounding in the ill-conditioned solve.  With
+    # verify_distance below that miss, analyze, synthesis and both penalty
+    # forms must all refuse.
+    cfg = ProblemConfig(
+        alpha=0.5015663439340503,
+        T=11.299480681296696,
+        n_modes=7,
+        n_steps=91,
+        y0=(1.5657356515820613, -0.007777014954568164, 0.9863546630250799, 1.3554816834705572,
+            0.4289087475402883, -0.7894891324330596, -0.8761760043511858),
+        actuator={"kind": "zone", "a": 0.08948958127671679, "b": 0.7639027045582212},
+        target_modes=(3, 6),
+    )
+    system = steering_system(cfg)
+    gram, c = system.gramian, system.c
+    v, _ = gram.solve(c)
+    miss = float(np.linalg.norm(gram.factor.T @ v - c))
+    _, sigma, Vt = np.linalg.svd(gram.factor, full_matrices=True)
+    rank = int(np.sum(sigma > np.finfo(float).eps * max(gram.factor.shape) * sigma[0]))
+    tail = float(np.linalg.norm(Vt[rank:] @ c))
+    assert rank == c.size and tail < miss / 2
+    cfg = dataclasses.replace(cfg, tolerances=Tolerances(miss / 2))
+    assert _analysis_payload(cfg, steering_system(cfg))["eec"] is False
+    with pytest.raises(SingularGramianError, match="rank 5 of 5 at n_steps=91"):
+        solve_rhum(cfg)
+    for form in ("mild", "caputo"):
+        with pytest.raises(SingularGramianError):
+            solve_penalized(PenalizedProblem(cfg, 1e-3, form))
+    save_config(cfg, tmp_path / "cfg.json")
+    assert main(["synthesize", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)]) == 3
 
 
 class TestEnergy:

@@ -110,19 +110,19 @@ def _cmd_synthesize(config: ProblemConfig, out: Path) -> int:
     sol = solve_rhum(config)
     transfer = verify_transfer(config, sol.u_star)
     grid = sol.system.grid
-    nodes = grid.nodes
     control_path = out / "control.csv"
     traj_path = out / "trajectory.csv"
     report_path = out / "report.json"
-    _write_csv(control_path, ["t", "u"], np.column_stack([nodes, sol.u_star]))
+    _write_csv(control_path, ["t", "u"], np.column_stack([grid.nodes, sol.u_star]))
     _write_csv(
         traj_path,
         ["t"] + [f"coeff_{i+1}" for i in range(config.n_modes)],
-        np.column_stack([nodes, transfer.trajectory]),
+        np.column_stack([grid.nodes, transfer.trajectory]),
     )
-    analysis = _analysis_payload(config, sol.system)
     report = {
-        **{k: analysis[k] for k in ("strategic", "dead_modes", "eec", "gramian_condition")},
+        **is_strategic(sol.system.influence, sol.system.target),
+        "eec": True,  # solve_rhum returned, so require_reachable accepted this system
+        "gramian_condition": sol.condition_number,
         "solve_residual": sol.residual,
         "control_energy": control_energy(sol.u_star, grid),
         "distance_to_G": transfer.distance_to_G,

@@ -5,9 +5,9 @@ G phi_hat = c with G the quadratic observation form (the Gramian) on that
 annihilator and c = -(annihilator coordinates of the free final state), and
 reads the steering control off the adjoint observation evaluated at T - t.
 G is never formed to solve with: a ``Gramian`` holds a factor B, G = B^T B,
-whose one thin SVD gives the spectrum, the null space and ``Gramian.solve``
-of (G + delta I) phi = c (Hansen, *Rank-Deficient and Discrete Ill-Posed
-Problems*, SIAM 1998).  Two routes build B:
+whose one thin SVD, of B as built, gives the spectrum (zero past B's rows),
+the null space and ``Gramian.solve`` of (G + delta I) phi = c (Hansen,
+*Rank-Deficient and Discrete Ill-Posed Problems*, SIAM 1998).  Two routes build B:
 
 * ``assemble_gramian`` integrates the continuous observation products
   integral_0^T t^{2(a-1)} E_{a,a}(lambda_i t^a) E_{a,a}(lambda_l t^a) dt
@@ -89,14 +89,11 @@ class Gramian:
 
     @cached_property
     def svd(self) -> tuple:
-        B = self.factor
-        if B.shape[0] < B.shape[1]:  # zero rows make V square: sigma^2 is all of G's spectrum
-            B = np.vstack([B, np.zeros((B.shape[1] - B.shape[0], B.shape[1]))])
-        return np.linalg.svd(B, full_matrices=False)
+        return np.linalg.svd(self.factor, full_matrices=False)
 
     def min_eigenvalue(self) -> float:
         sigma = self.svd[1]
-        return float(sigma[-1] ** 2) if sigma.size else 0.0
+        return float(sigma[-1] ** 2) if 0 < sigma.size == self.factor.shape[1] else 0.0
 
     @cached_property
     def rank(self) -> int:
@@ -108,13 +105,16 @@ class Gramian:
         """(v, phi) with phi = V diag(1/(sigma^2 + delta)) V^T c and v = B phi.
 
         At delta = 0 only the ``rank`` singular values above the cut are kept:
-        phi is the least-norm solve of G phi = c.  delta > 0 keeps all of them:
-        the Tikhonov filter (G + delta I) phi = c.
+        phi is the least-norm solve of G phi = c.  delta > 0 keeps all of them,
+        and G's zero eigenvalues past B's rows: the filter (G + delta I) phi = c.
         """
         U, sigma, Vt = self.svd
         k = self.rank if delta == 0.0 else sigma.size
         d = (Vt[:k] @ c) / (sigma[:k] ** 2 + delta)
-        return U[: self.factor.shape[0], :k] @ (sigma[:k] * d), Vt[:k].T @ d
+        phi = Vt[:k].T @ d
+        if delta and k < c.size:  # c's part outside B's row space, on G's zero eigenvalues
+            phi += (c - Vt.T @ (Vt @ c)) / delta
+        return U[:, :k] @ (sigma[:k] * d), phi
 
     def least_norm(self, c: np.ndarray) -> tuple:
         """(v, phi, miss): ``solve(c)`` at delta = 0 and its miss |B^T v - c| = |A u - c|."""
@@ -122,10 +122,10 @@ class Gramian:
         return v, phi, float(np.linalg.norm(self.factor.T @ v - c))
 
     def condition_number(self) -> float:
-        """(sigma_max / sigma_min)^2, or inf where sigma_min is below the rank cut."""
+        """(sigma_max / sigma_min)^2 over G's m eigenvalues, or inf where sigma_min is below the rank cut."""
         sigma = self.svd[1]
         hi, lo = (sigma[0], sigma[-1]) if sigma.size else (1.0, 1.0)
-        return np.inf if self.rank < sigma.size else float((hi / lo) ** 2)
+        return np.inf if self.rank < self.factor.shape[1] else float((hi / lo) ** 2)
 
 
 def assemble_gramian(b: np.ndarray, target: TargetSubspace, alpha: float, T: float) -> Gramian:

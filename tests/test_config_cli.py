@@ -1,6 +1,7 @@
 """Tests for configuration validation, JSON round-trips, and the CLI."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import subdiff_control
-from subdiff_control import cli
+from subdiff_control import cli, rhum
 from subdiff_control.cli import main
 from subdiff_control.config import (
     MAX_TABLE_ENTRIES,
@@ -63,12 +64,12 @@ def _write_cfg(tmp_path, name="cfg.json", **overrides):
     return path
 
 
-def _run_cli(command, cfg_path, out):
+def _run_cli(command, cfg_path, out, timeout=60):
     """Run ``python -m subdiff_control`` in a fresh process, so a traceback reaches stderr."""
     env = dict(os.environ, PYTHONPATH=str(Path(subdiff_control.__file__).parents[1]))
     return subprocess.run(
         [sys.executable, "-m", "subdiff_control", command, "--config", str(cfg_path), "--out", str(out)],
-        capture_output=True, text=True, timeout=60, env=env,
+        capture_output=True, text=True, timeout=timeout, env=env,
     )
 
 
@@ -241,6 +242,19 @@ class TestCliSynthesize:
         assert path.read_text(encoding="utf-8") == (
             "t,u\n0.10000000000000001,-0\n1,0.33333333333333331\n"
         )
+
+    def test_reachability_is_decided_once(self, tmp_path, monkeypatch):
+        # the report's eec and condition come from the synthesis's own solve
+        calls, least_norm = [], rhum.Gramian.least_norm
+
+        def counted(gram, c):
+            calls.append(c)
+            return least_norm(gram, c)
+
+        monkeypatch.setattr(rhum.Gramian, "least_norm", counted)
+        assert main(["synthesize", "--config", str(CONFIGS / "zone.json"), "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+        assert json.loads((tmp_path / "report.json").read_text())["eec"] is True
 
     def test_parser_is_built_once(self):
         assert cli._parser() is cli._parser()
@@ -510,6 +524,32 @@ class TestCliAnalyze:
         proc = _run_cli("analyze", cfg_path, tmp_path / "out")
         assert proc.returncode in (0, 1, 2, 3, 4), proc.stderr  # the documented exit codes
         assert "Traceback" not in proc.stderr
+
+    # 3 control samples against 6000 annihilator modes: the Gramian has 5997
+    # zero eigenvalues, read from its 3 x 6000 factor's shape, not factored
+    WIDE = {
+        "alpha": 0.5, "T": 1.0, "n_modes": 6000, "n_steps": 2,
+        "y0": [1.0] + [0.0] * 5999,
+        "actuator": {"kind": "zone", "a": 0.2, "b": 0.5},
+        "target_modes": [],
+    }
+
+    def test_many_modes_few_steps_analyze_in_bounded_time(self, tmp_path):
+        cfg_path = tmp_path / "wide.json"
+        cfg_path.write_text(json.dumps(self.WIDE), encoding="utf-8")
+        proc = _run_cli("analyze", cfg_path, tmp_path / "out", timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        analysis = json.loads((tmp_path / "out" / "analysis.json").read_text())
+        assert analysis["gramian_min_eigenvalue"] == 0.0
+        assert analysis["gramian_condition"] == math.inf
+
+    def test_many_modes_few_steps_refuse_in_bounded_time(self, tmp_path):
+        cfg_path = tmp_path / "wide.json"
+        pointwise = dict(self.WIDE, actuator={"kind": "pointwise", "b": 0.3819660112501051})
+        cfg_path.write_text(json.dumps(pointwise), encoding="utf-8")
+        proc = _run_cli("synthesize", cfg_path, tmp_path / "out", timeout=30)
+        assert proc.returncode == 3, proc.stderr
+        assert "cannot meet" in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestTypedErrorPaths:

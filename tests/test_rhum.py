@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -212,6 +213,46 @@ class TestGramianSolve:
         assert np.linalg.norm(phi - oracle) <= 1e-12 * np.linalg.norm(oracle)
         assert v.shape == (B.shape[0],)
         assert np.linalg.norm(v - B @ phi) <= 1e-12 * np.linalg.norm(B, 2) * np.linalg.norm(phi)
+
+    @staticmethod
+    def _padded_solve(B, c, delta):
+        """The filter on the SVD of B stacked over zero rows into a square m x m factor."""
+        m = B.shape[1]
+        U, sigma, Vt = np.linalg.svd(np.vstack([B, np.zeros((m - B.shape[0], m))]))
+        k = int(np.sum(sigma > np.finfo(float).eps * m * sigma[0])) if delta == 0.0 else m
+        d = (Vt[:k] @ c) / (sigma[:k] ** 2 + delta)
+        return U[: B.shape[0], :k] @ (sigma[:k] * d), Vt[:k].T @ d
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-3, 1e-8])
+    @pytest.mark.parametrize("shape", [(3, 8), (5, 40), (2, 6)])
+    def test_wide_factor_is_factored_as_built(self, shape, delta):
+        # fewer control samples than annihilator modes: G has m - rows zero
+        # eigenvalues, which the filter at delta > 0 still scales by 1/delta
+        rng = np.random.default_rng(shape[1])
+        B, c = rng.normal(size=shape), rng.normal(size=shape[1])
+        gram = Gramian(B)
+        v, phi = gram.solve(c, delta)
+        v_ref, phi_ref = self._padded_solve(B, c, delta)
+        assert np.linalg.norm(v - v_ref) <= 1e-12 * np.linalg.norm(v_ref)
+        assert np.linalg.norm(phi - phi_ref) <= 1e-12 * np.linalg.norm(phi_ref)
+        assert gram.rank == shape[0]
+        assert gram.min_eigenvalue() == 0.0 and gram.condition_number() == math.inf
+
+    def test_wide_factor_memory_is_a_multiple_of_the_factor(self):
+        # 3 samples against 4000 annihilator modes: no m x m array is formed
+        rng = np.random.default_rng(4000)
+        B, c = rng.normal(size=(3, 4000)), rng.normal(size=4000)
+        gram = Gramian(B)
+        tracemalloc.start()
+        try:
+            gram.condition_number()
+            gram.min_eigenvalue()
+            gram.least_norm(c)
+            gram.solve(c, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * B.nbytes, peak / B.nbytes
 
 
 class TestSolve:
@@ -494,6 +535,55 @@ def test_one_verdict_at_every_tolerance(tmp_path):
             solve_penalized(PenalizedProblem(cfg, 1e-3, form))
     save_config(cfg, tmp_path / "cfg.json")
     assert main(["synthesize", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)]) == 3
+
+
+def _heat_control(cfg):
+    """The alpha = 1 (heat) discrete model's least-norm control, from exp alone.
+
+    The node table is e^{lambda t_k}, a step's mass is the integral of
+    e^{lambda tau} over it, the terminal map shares each step's mass between
+    its two end nodes, and the control minimizes the trapezoid energy among
+    those that cancel the annihilator coordinates of e^{lambda T} y0.
+    """
+    n, h = cfg.n_steps, cfg.T / cfg.n_steps
+    lam = -((np.arange(1, cfg.n_modes + 1) * np.pi) ** 2)
+    t = np.arange(n + 1) * h
+    masses = np.exp(np.outer(lam, t[:-1])) * (np.expm1(lam * h) / lam)[:, None]
+    back = masses[:, ::-1]  # step j, looking back from T, has mass n - 1 - j
+    terminal = np.zeros((cfg.n_modes, n + 1))
+    terminal[:, :-1] += 0.5 * back
+    terminal[:, 1:] += 0.5 * back
+    w = np.full(n + 1, h)
+    w[[0, -1]] = h / 2
+    ann = cfg.build_target().annihilator
+    A = terminal[ann] * cfg.build_actuator()[ann, None]
+    c = -(np.exp(lam * cfg.T) * cfg.y0_array())[ann]
+    v = np.linalg.lstsq(A / np.sqrt(w), c, rcond=None)[0]
+    return v / np.sqrt(w), w
+
+
+@pytest.mark.parametrize(
+    "y0,target_modes", [((1.0, 0.0, 0.0), ()), ((1.0, 0.5, -0.25), (3,))], ids=["exact", "G3"]
+)
+def test_heat_limit_is_approached_at_first_order(y0, target_modes):
+    # As alpha -> 1 the sub-diffusion model becomes the heat equation, so the
+    # synthesis must approach the heat model's control, at O(1 - alpha): each
+    # decade of 1 - alpha cuts the energy gap and the control distance ~10x.
+    base = dict(T=1.0, n_modes=3, n_steps=256, y0=y0,
+                actuator={"kind": "zone", "a": 0.2, "b": 0.5}, target_modes=target_modes)
+    configs = [ProblemConfig(alpha=1.0 - gap, **base) for gap in (1e-4, 1e-5, 1e-6)]
+    u_heat, w = _heat_control(configs[0])  # reads everything but alpha
+    e_heat = 0.5 * float(w @ u_heat**2)
+    energy_gaps, control_gaps = [], []
+    for cfg in configs:
+        sol = solve_rhum(cfg)
+        assert verify_transfer(cfg, sol.u_star).distance_to_G <= cfg.tolerances.verify_distance
+        energy_gaps.append(abs(control_energy(sol.u_star, cfg.grid()) - e_heat) / e_heat)
+        du = sol.u_star - u_heat
+        control_gaps.append(math.sqrt(float(w @ du**2) / float(w @ u_heat**2)))
+    for gaps in (energy_gaps, control_gaps):
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert 7.0 <= coarse / fine <= 14.0, gaps
 
 
 class TestEnergy:

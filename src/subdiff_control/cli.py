@@ -17,8 +17,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -49,12 +49,27 @@ EXIT_NON_STRATEGIC = 2
 EXIT_SINGULAR = 3
 EXIT_QUADRATURE = 4
 
+# Most rows of trajectory.csv: every ceil(n_steps / 64)-th node and T.  control.csv
+# keeps every node, because verify reads it.
+TRAJECTORY_ROWS = 65
+# Values _write_csv formats and writes at once.
+CSV_BLOCK_VALUES = 2**15
+
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    """One line per row of ``rows`` (a 2-D array or a list of equal-length rows), %.17g each."""
-    fmt = ",".join(["%.17g"] * len(header))
-    lines = [",".join(header)] + [fmt % tuple(row) for row in np.asarray(rows, float).tolist()]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """One line per row of ``rows`` (a 2-D array or a list of equal-length rows), %.17g each.
+
+    Rows are formatted and written in blocks of about ``CSV_BLOCK_VALUES`` values,
+    one format string per block, so the writer's memory does not grow with the rows.
+    """
+    rows = np.asarray(rows, float)
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    step = max(1, CSV_BLOCK_VALUES // len(header))
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(rows), step):
+            block = rows[lo:lo + step]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -63,8 +78,33 @@ def _write_json(path: Path, payload: dict) -> None:
     )
 
 
+def _leading_pairs(rows: list[str]) -> np.ndarray:
+    """(t, u) of each row as a (k, 2) array, up to the first row that is not two numbers.
+
+    Every row at once when each is two numbers, in one conversion; else row by row.
+    """
+    cells = ",".join(rows).split(",")
+    # each row has two cells when there are as many commas as rows and no row lacks one
+    if len(cells) == 2 * len(rows) and all(map(str.__contains__, rows, repeat(","))):
+        try:
+            return np.array(cells, dtype=float).reshape(len(rows), 2)
+        except ValueError:
+            pass
+    pairs = []
+    for row in rows:
+        try:
+            t, u = map(float, row.split(","))
+        except ValueError:
+            break
+        pairs.append((t, u))
+    return np.array(pairs).reshape(len(pairs), 2)
+
+
 def _read_control_csv(path: Path, grid: TimeGrid) -> np.ndarray:
-    """The u column of a ``t,u`` control file whose rows are the grid's nodes t and finite u."""
+    """The u column of a ``t,u`` control file whose rows are the grid's nodes t and finite u.
+
+    Every row is checked at once; an error names the file's first bad line.
+    """
     try:
         lines = path.read_text(encoding="utf-8").strip().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
@@ -75,17 +115,15 @@ def _read_control_csv(path: Path, grid: TimeGrid) -> np.ndarray:
         raise ConfigError("<control>", msg)
     if lines[0].strip() != "t,u":
         raise ConfigError("<control>", f"line 1 of {path} is not the header 't,u': {lines[0]!r}")
-    vals = []
-    for k, (line, node) in enumerate(zip(rows, nodes), start=2):
-        try:
-            t, u = (float(v) for v in line.split(","))
-        except ValueError:
-            raise ConfigError("<control>", f"line {k} of {path} is not 't,u': {line!r}") from None
-        if not (math.isfinite(u) and abs(t - node) <= 1e-9 * grid.T):
-            msg = f"line {k} of {path} needs grid node t={float(node)!r} and a finite u: {line!r}"
-            raise ConfigError("<control>", msg)
-        vals.append(u)
-    return np.array(vals)
+    t, u = _leading_pairs(rows).T
+    bad = np.flatnonzero(~(np.isfinite(u) & (np.abs(t - nodes[:t.size]) <= 1e-9 * grid.T)))
+    if bad.size:
+        k = int(bad[0])
+        msg = f"line {k + 2} of {path} needs grid node t={float(nodes[k])!r} and a finite u: {rows[k]!r}"
+        raise ConfigError("<control>", msg)
+    if t.size < len(rows):
+        raise ConfigError("<control>", f"line {t.size + 2} of {path} is not 't,u': {rows[t.size]!r}")
+    return u
 
 
 def _analysis_payload(config: ProblemConfig, system: SteeringSystem) -> dict:
@@ -106,25 +144,35 @@ def _analysis_payload(config: ProblemConfig, system: SteeringSystem) -> dict:
     }
 
 
+def _trajectory_nodes(n_steps: int) -> np.ndarray:
+    """Indices of the nodes trajectory.csv keeps: every ceil(n_steps / 64)-th node, then T."""
+    stride = -(-n_steps // (TRAJECTORY_ROWS - 1))
+    return np.append(np.arange(0, n_steps, stride), n_steps)
+
+
 def _cmd_synthesize(config: ProblemConfig, out: Path) -> int:
     sol = solve_rhum(config)
-    transfer = verify_transfer(config, sol.u_star)
-    grid = sol.system.grid
+    grid, u_star = sol.system.grid, sol.u_star
     control_path = out / "control.csv"
     traj_path = out / "trajectory.csv"
     report_path = out / "report.json"
-    _write_csv(control_path, ["t", "u"], np.column_stack([grid.nodes, sol.u_star]))
-    _write_csv(
-        traj_path,
-        ["t"] + [f"coeff_{i+1}" for i in range(config.n_modes)],
-        np.column_stack([grid.nodes, transfer.trajectory]),
-    )
     report = {
         **is_strategic(sol.system.influence, sol.system.target),
         "eec": True,  # solve_rhum returned, so require_reachable accepted this system
         "gramian_condition": sol.condition_number,
         "solve_residual": sol.residual,
-        "control_energy": control_energy(sol.u_star, grid),
+        "control_energy": control_energy(u_star, grid),
+    }
+    del sol  # the Gramian's factor and SVD go before the simulation
+    transfer = verify_transfer(config, u_star)
+    _write_csv(control_path, ["t", "u"], np.column_stack([grid.nodes, u_star]))
+    keep = _trajectory_nodes(grid.n_steps)
+    _write_csv(
+        traj_path,
+        ["t"] + [f"coeff_{i+1}" for i in range(config.n_modes)],
+        np.column_stack([grid.nodes[keep], transfer.trajectory[keep]]),
+    )
+    report.update({
         "distance_to_G": transfer.distance_to_G,
         "within_tolerance": transfer.distance_to_G <= config.tolerances.verify_distance,
         "artifacts": {
@@ -132,7 +180,7 @@ def _cmd_synthesize(config: ProblemConfig, out: Path) -> int:
             "trajectory": traj_path.name,
             "report": report_path.name,
         },
-    }
+    })
     _write_json(report_path, report)
     print(
         f"synthesized control: energy={report['control_energy']:.6e} "

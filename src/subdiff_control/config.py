@@ -80,13 +80,17 @@ class ProblemConfig:
         if self.n_modes * (self.n_steps + 1) > MAX_TABLE_ENTRIES:
             raise ConfigError("n_steps", f"n_modes x (n_steps + 1) must be at most {MAX_TABLE_ENTRIES}")
         y0_is_array = isinstance(self.y0, (list, tuple, np.ndarray))
-        if not (y0_is_array and all(_is_real(v) for v in self.y0)):
+        # JSON gives floats and ints: their types are read in one C-level pass, not one isinstance each
+        if not (y0_is_array and (set(map(type, self.y0)) <= {float, int} or all(map(_is_real, self.y0)))):
             raise ConfigError("y0", f"must be an array of numbers, got {self.y0!r}")
-        y0 = tuple(_as_float("y0", v) for v in self.y0)
+        try:
+            y0 = tuple(map(float, self.y0))
+        except OverflowError as exc:
+            raise ConfigError("y0", f"is beyond the double range: {exc}") from exc
         object.__setattr__(self, "y0", y0)
         if len(y0) != self.n_modes:
             raise ConfigError("y0", f"must have n_modes = {self.n_modes} entries, got {len(y0)}")
-        if not all(np.isfinite(v) for v in y0):
+        if not np.isfinite(y0).all():
             raise ConfigError("y0", "entries must be finite")
         if not isinstance(self.actuator, dict):
             raise ConfigError("actuator", f"must be an object, got {self.actuator!r}")

@@ -38,11 +38,21 @@ SQRT2 = math.sqrt(2.0)
 
 # Mode tables kept by ``_modes``: one per (a, grid, N).
 TABLE_CACHE_SIZE = 8
+# Most elements the table build and the convolution work on at once, so their
+# temporaries stay this small whatever the grid (each element's arithmetic is
+# independent of the others, so blocks change no bit of the result).
+BLOCK_ELEMENTS = 2**16
 
 
 def _is_real(v) -> bool:
     """A real number and not a bool: the package's one rule for a numeric input."""
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _row_blocks(n_rows: int, n_cols: int) -> list:
+    """Row slices of an (n_rows, n_cols) array, each of at most ``BLOCK_ELEMENTS`` elements or one row."""
+    step = max(1, BLOCK_ELEMENTS // n_cols)
+    return [slice(r, r + step) for r in range(0, n_rows, step)]
 
 
 def _trapezoid_split(steps: np.ndarray) -> np.ndarray:
@@ -143,9 +153,13 @@ def propagator_factors(alpha: float, grid: TimeGrid, n_modes: int) -> np.ndarray
     as ``_modes(...).factors``, which memoizes it, so a warm problem builds nothing.
     """
     _check_alpha(alpha)
-    z = np.outer(eigenvalues(n_modes), grid.nodes[1:] ** alpha)
+    lam, t_a = eigenvalues(n_modes), grid.nodes[1:] ** alpha
     out = np.ones((n_modes, grid.n_steps + 1))
-    out[:, 1:] = mittag_leffler_array(alpha, 1.0, z)
+    cols = min(t_a.size, BLOCK_ELEMENTS)
+    for rows in _row_blocks(n_modes, t_a.size):
+        for c in range(0, t_a.size, cols):
+            z = np.outer(lam[rows], t_a[c:c + cols])
+            out[rows, 1 + c:1 + c + cols] = mittag_leffler_array(alpha, 1.0, z)
     out.setflags(write=False)
     return out
 
@@ -163,9 +177,12 @@ class _ModeTable:
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _modes(alpha: float, grid: TimeGrid, n_modes: int) -> _ModeTable:
     factors = propagator_factors(alpha, grid, n_modes)
-    masses = np.diff(factors, axis=1) / eigenvalues(n_modes)[:, None]
+    masses = np.diff(factors, axis=1)
+    masses /= eigenvalues(n_modes)[:, None]
     spectrum = np.fft.rfft(masses, n=2 * grid.n_steps, axis=1)
-    terminal = _trapezoid_split(masses[:, ::-1])  # step j, looking back from T, has mass n-1-j
+    terminal = np.empty_like(factors)
+    for rows in _row_blocks(n_modes, grid.n_steps):  # step j, looking back from T, has mass n-1-j
+        terminal[rows] = _trapezoid_split(masses[rows, ::-1])
     for arr in (masses, spectrum, terminal):
         arr.setflags(write=False)
     return _ModeTable(factors, masses, spectrum, terminal)
@@ -211,9 +228,10 @@ def mild_trajectory(
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite u is the error below
         table = _modes(alpha, grid, n_modes)
         u_hat = np.fft.rfft(0.5 * (u[:-1] + u[1:]), n=2 * n)
-        conv = np.fft.irfft(table.spectrum * u_hat, n=2 * n, axis=1)
-        traj[:] = table.factors.T * y0
-        traj[1:] += conv[:, :n].T * influence
+        np.multiply(table.factors.T, y0, out=traj)
+        for rows in _row_blocks(n_modes, 2 * n):
+            conv = np.fft.irfft(table.spectrum[rows] * u_hat, n=2 * n, axis=1)
+            traj[1:, rows] += conv[:, :n].T * influence[rows]
     if not np.all(np.isfinite(traj)):
         raise QuadratureError("mild-solution convolution produced non-finite values")
     return traj

@@ -28,6 +28,7 @@ from subdiff_control.errors import (
     QuadratureError,
     SingularGramianError,
 )
+from subdiff_control.spectral import TimeGrid
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -111,6 +112,19 @@ class TestValidation:
         assert exc.value.field == "y0"
         with pytest.raises(ConfigError):
             ProblemConfig(**{**_cfg_dict(), "y0": (1.0, float("nan"), 0.0)})
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(True, "array of numbers"), ("1.0", "array of numbers"), (None, "array of numbers"),
+         (float("nan"), "finite"), (float("inf"), "finite"), (10**400, "double range")],
+    )
+    def test_y0_bad_entry_last_in_long_list(self, bad, message):
+        n = 20000
+        with pytest.raises(ConfigError) as exc:
+            ProblemConfig(**{**_cfg_dict(), "n_modes": n, "n_steps": 2, "y0": [0.5] * (n - 1) + [bad],
+                             "target_modes": ()})
+        assert exc.value.field == "y0"
+        assert message in str(exc.value)
 
     def test_actuator_errors(self):
         for bad, field in (
@@ -235,6 +249,44 @@ class TestCliSynthesize:
                 f.name: f.read_bytes() for f in sorted(out.iterdir())
             })
         assert outs[0] == outs[1]
+
+    def test_trajectory_keeps_every_16th_node_and_T_at_1000_steps(self, tmp_path):
+        cfg_path = _write_cfg(tmp_path, n_steps=1000)
+        out = tmp_path / "out"
+        assert main(["synthesize", "--config", str(cfg_path), "--out", str(out)]) == 0
+        u = cli._read_control_csv(out / "control.csv", TimeGrid(1.0, 1000))
+        expected = rhum.verify_transfer(load_config(cfg_path), u).trajectory
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        assert lines[0] == "t,coeff_1,coeff_2,coeff_3"
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        keep = list(range(0, 1000, 16)) + [1000]  # t = 0, 16h, ..., 992h, T
+        assert len(rows) == len(keep) == 64
+        assert rows[:, 0].tobytes() == TimeGrid(1.0, 1000).nodes[keep].tobytes()
+        assert rows[:, 1:].tobytes() == expected[keep].tobytes()
+
+    @pytest.mark.parametrize("n_steps", [2, 33, 64])
+    def test_trajectory_keeps_every_node_up_to_64_steps(self, tmp_path, n_steps):
+        cfg_path = _write_cfg(tmp_path, n_steps=n_steps, target_modes=[3])
+        out = tmp_path / "out"
+        assert main(["synthesize", "--config", str(cfg_path), "--out", str(out)]) == 0
+        rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+        t = [float(row.split(",")[0]) for row in rows]
+        assert np.array(t).tobytes() == TimeGrid(1.0, n_steps).nodes.tobytes()
+
+    def test_control_csv_is_every_node_at_17_digits(self, tmp_path):
+        cfg_path = _write_cfg(tmp_path, n_steps=1000)
+        out = tmp_path / "out"
+        assert main(["synthesize", "--config", str(cfg_path), "--out", str(out)]) == 0
+        u = rhum.solve_rhum(load_config(cfg_path)).u_star
+        rendered = "t,u\n" + "".join("%.17g,%.17g\n" % (t, v) for t, v in zip(TimeGrid(1.0, 1000).nodes, u))
+        assert (out / "control.csv").read_bytes() == rendered.encode("utf-8")
+
+    def test_csv_writer_streams_the_same_bytes(self, tmp_path, monkeypatch):
+        rows = np.random.default_rng(4).normal(size=(50, 3))
+        cli._write_csv(tmp_path / "whole.csv", ["a", "b", "c"], rows)
+        monkeypatch.setattr(cli, "CSV_BLOCK_VALUES", 7)  # two rows a block
+        cli._write_csv(tmp_path / "blocks.csv", ["a", "b", "c"], rows)
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
     def test_csv_values_carry_17_significant_digits(self, tmp_path):
         path = tmp_path / "rows.csv"
@@ -398,11 +450,29 @@ class TestCliVerify:
         out = tmp_path / "out"
         assert main(["synthesize", "--config", str(cfg_path), "--out", str(out)]) == 0
         control = out / "control.csv"
+        written = control.read_text().splitlines()
+        for index in (3, len(written) - 1):  # the file's line 4, and its last line
+            lines = list(written)
+            lines[index] = row.format(t=lines[index].split(",")[0])  # "{t}" keeps the row's own node
+            control.write_text("\n".join(lines) + "\n")
+            assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert "<control>" in err
+            assert f"line {index + 1} of" in err
+
+    @pytest.mark.parametrize("first, later", [("0.5,1.0", "{t},abc"), ("{t},abc", "0.5,1.0")])
+    def test_verify_names_the_first_bad_line(self, tmp_path, capsys, first, later):
+        # a misplaced node and a row that is not two numbers: the earlier one is named
+        cfg_path = _write_cfg(tmp_path)
+        out = tmp_path / "out"
+        assert main(["synthesize", "--config", str(cfg_path), "--out", str(out)]) == 0
+        control = out / "control.csv"
         lines = control.read_text().splitlines()
-        lines[3] = row.format(t=lines[3].split(",")[0])  # "{t}" keeps the row's own node
+        for index, row in ((5, first), (20, later)):
+            lines[index] = row.format(t=lines[index].split(",")[0])
         control.write_text("\n".join(lines) + "\n")
         assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 1
-        assert "<control>" in capsys.readouterr().err
+        assert "line 6 of" in capsys.readouterr().err
 
 
     def test_verify_empty_control(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Tests for the eigenmode solution operators and the mild solution."""
 
 import functools
+import json
 import math
 import tracemalloc
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from subdiff_control import spectral
+from subdiff_control import cli, spectral
 from subdiff_control.errors import DomainError, QuadratureError
 from subdiff_control.spectral import (
     TimeGrid,
@@ -133,6 +134,41 @@ class TestPropagators:
         finally:
             tracemalloc.stop()
         assert peak <= 12 * table.nbytes, peak / table.nbytes
+
+    def test_synthesize_memory_peak(self, tmp_path):
+        # synthesize on a cold table at N=12, n=65536: the mode table, the Gramian and the
+        # trajectory are kept, but no temporary of the table build, the convolution or the
+        # CSV writer grows the peak much past them
+        cfg = {"alpha": 0.6, "T": 1.0, "n_modes": 12, "n_steps": 65536, "y0": [1.0, 0.5, -0.25] + [0.0] * 9,
+               "actuator": {"kind": "zone", "a": 0.2, "b": 0.5}, "target_modes": list(range(4, 13))}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        spectral._modes.cache_clear()
+        tracemalloc.start()
+        try:
+            code = cli.main(["synthesize", "--config", str(path), "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            spectral._modes.cache_clear()
+        table_bytes = 12 * 65537 * 8
+        assert code == 0
+        assert peak <= 8 * table_bytes, peak / table_bytes
+
+    def test_blocks_change_no_bit(self, monkeypatch):
+        # the table, masses, spectrum, terminal map and convolution are the same bits
+        # whether a block holds every element or a few; alpha 0.45 mixes the algebraic
+        # and contour regimes, and 13 elements split each 40-node row into 4 blocks
+        grid = TimeGrid(1.0, 40)
+        rng = np.random.default_rng(3)
+        y0, infl, u = rng.normal(size=7), rng.normal(size=7), rng.normal(size=41)
+        whole = spectral._modes.__wrapped__(0.45, grid, 7)
+        traj = mild_trajectory(0.45, grid, y0, infl, u)
+        monkeypatch.setattr(spectral, "BLOCK_ELEMENTS", 13)
+        blocked = spectral._modes.__wrapped__(0.45, grid, 7)
+        for name in ("factors", "masses", "spectrum", "terminal"):
+            assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes(), name
+        assert mild_trajectory(0.45, grid, y0, infl, u).tobytes() == traj.tobytes()
 
     @pytest.mark.parametrize("alpha", [0.3, 0.7])
     def test_node_table_matches_scalar_calls(self, alpha):

@@ -17,8 +17,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
-from itertools import repeat
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,7 @@ from .errors import (
 from .penalized import epsilon_sweep
 from .rhum import (
     SteeringSystem,
+    TransferReport,
     control_energy,
     require_reachable,
     solve_rhum,
@@ -78,52 +80,47 @@ def _write_json(path: Path, payload: dict) -> None:
     )
 
 
-def _leading_pairs(rows: list[str]) -> np.ndarray:
-    """(t, u) of each row as a (k, 2) array, up to the first row that is not two numbers.
-
-    Every row at once when each is two numbers, in one conversion; else row by row.
-    """
-    cells = ",".join(rows).split(",")
-    # each row has two cells when there are as many commas as rows and no row lacks one
-    if len(cells) == 2 * len(rows) and all(map(str.__contains__, rows, repeat(","))):
-        try:
-            return np.array(cells, dtype=float).reshape(len(rows), 2)
-        except ValueError:
-            pass
-    pairs = []
-    for row in rows:
-        try:
-            t, u = map(float, row.split(","))
-        except ValueError:
-            break
-        pairs.append((t, u))
-    return np.array(pairs).reshape(len(pairs), 2)
+def _one_comma_per_row(body: str, n_rows: int) -> bool:
+    """Whether each of the ``n_rows`` lines of ``body`` has exactly one comma."""
+    chars = np.frombuffer(body.encode(), np.uint8)
+    commas, breaks = np.flatnonzero(chars == ord(",")), np.flatnonzero(chars == ord("\n"))
+    # as many commas as rows, and a line break between each two
+    return commas.size == n_rows and (commas[:-1] < breaks).all() and (breaks < commas[1:]).all()
 
 
 def _read_control_csv(path: Path, grid: TimeGrid) -> np.ndarray:
     """The u column of a ``t,u`` control file whose rows are the grid's nodes t and finite u.
 
-    Every row is checked at once; an error names the file's first bad line.
+    The rows are converted in one numpy call and checked at once, so a cell is a number
+    when numpy reads it.  Only a refused file is walked line by line, to name its first bad line.
     """
     try:
-        lines = path.read_text(encoding="utf-8").strip().splitlines()
+        header, _, body = path.read_text(encoding="utf-8").strip().partition("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("<control>", f"cannot read {path}: {exc}") from exc
-    nodes, rows = grid.nodes, lines[1:]  # an empty file has 0 samples
-    if len(rows) != nodes.size:
-        msg = f"control file has {len(rows)} samples but the grid needs {nodes.size}"
+    nodes, tol = grid.nodes, 1e-9 * grid.T
+    n_rows = body.count("\n") + 1 if body else 0  # an empty file has 0 samples
+    if n_rows != nodes.size:
+        msg = f"control file has {n_rows} samples but the grid needs {nodes.size}"
         raise ConfigError("<control>", msg)
-    if lines[0].strip() != "t,u":
-        raise ConfigError("<control>", f"line 1 of {path} is not the header 't,u': {lines[0]!r}")
-    t, u = _leading_pairs(rows).T
-    bad = np.flatnonzero(~(np.isfinite(u) & (np.abs(t - nodes[:t.size]) <= 1e-9 * grid.T)))
-    if bad.size:
-        k = int(bad[0])
-        msg = f"line {k + 2} of {path} needs grid node t={float(nodes[k])!r} and a finite u: {rows[k]!r}"
-        raise ConfigError("<control>", msg)
-    if t.size < len(rows):
-        raise ConfigError("<control>", f"line {t.size + 2} of {path} is not 't,u': {rows[t.size]!r}")
-    return u
+    if header.strip() != "t,u":
+        raise ConfigError("<control>", f"line 1 of {path} is not the header 't,u': {header!r}")
+    if _one_comma_per_row(body, n_rows):
+        try:
+            t, u = np.fromstring(body.replace("\n", ","), sep=",").reshape(n_rows, 2).T
+        except ValueError:  # a cell numpy does not read
+            pass
+        else:
+            if (np.isfinite(u) & (np.abs(t - nodes) <= tol)).all():
+                return u
+    for line, row, node in zip(count(2), body.split("\n"), nodes.tolist()):
+        try:  # the same conversion, one row at a time; unpacking fails unless it reads two numbers
+            t, u = np.fromstring(row, sep=",").tolist() if row.count(",") == 1 else ()
+        except ValueError:
+            raise ConfigError("<control>", f"line {line} of {path} is not 't,u': {row!r}") from None
+        if not (math.isfinite(u) and abs(t - node) <= tol):
+            msg = f"line {line} of {path} needs grid node t={node!r} and a finite u: {row!r}"
+            raise ConfigError("<control>", msg)
 
 
 def _analysis_payload(config: ProblemConfig, system: SteeringSystem) -> dict:
@@ -150,6 +147,16 @@ def _trajectory_nodes(n_steps: int) -> np.ndarray:
     return np.append(np.arange(0, n_steps, stride), n_steps)
 
 
+def _transfer_report(config: ProblemConfig, u: np.ndarray, grid: TimeGrid) -> tuple[TransferReport, dict]:
+    """``verify_transfer`` of ``u``, and the miss and energy fields a report gives it."""
+    transfer = verify_transfer(config, u)
+    return transfer, {
+        "distance_to_G": transfer.distance_to_G,
+        "within_tolerance": transfer.distance_to_G <= config.tolerances.verify_distance,
+        "control_energy": control_energy(u, grid),
+    }
+
+
 def _cmd_synthesize(config: ProblemConfig, out: Path) -> int:
     sol = solve_rhum(config)
     grid, u_star = sol.system.grid, sol.u_star
@@ -161,10 +168,15 @@ def _cmd_synthesize(config: ProblemConfig, out: Path) -> int:
         "eec": True,  # solve_rhum returned, so require_reachable accepted this system
         "gramian_condition": sol.condition_number,
         "solve_residual": sol.residual,
-        "control_energy": control_energy(u_star, grid),
+        "artifacts": {
+            "control": control_path.name,
+            "trajectory": traj_path.name,
+            "report": report_path.name,
+        },
     }
     del sol  # the Gramian's factor and SVD go before the simulation
-    transfer = verify_transfer(config, u_star)
+    transfer, fields = _transfer_report(config, u_star, grid)
+    report.update(fields)
     _write_csv(control_path, ["t", "u"], np.column_stack([grid.nodes, u_star]))
     keep = _trajectory_nodes(grid.n_steps)
     _write_csv(
@@ -172,15 +184,6 @@ def _cmd_synthesize(config: ProblemConfig, out: Path) -> int:
         ["t"] + [f"coeff_{i+1}" for i in range(config.n_modes)],
         np.column_stack([grid.nodes[keep], transfer.trajectory[keep]]),
     )
-    report.update({
-        "distance_to_G": transfer.distance_to_G,
-        "within_tolerance": transfer.distance_to_G <= config.tolerances.verify_distance,
-        "artifacts": {
-            "control": control_path.name,
-            "trajectory": traj_path.name,
-            "report": report_path.name,
-        },
-    })
     _write_json(report_path, report)
     print(
         f"synthesized control: energy={report['control_energy']:.6e} "
@@ -195,13 +198,8 @@ def _cmd_verify(config: ProblemConfig, out: Path) -> int:
         raise ConfigError("<control>", f"no control file at {control_path}; run synthesize first")
     grid = config.grid()
     u = _read_control_csv(control_path, grid)
-    transfer = verify_transfer(config, u)
-    report = {
-        "distance_to_G": transfer.distance_to_G,
-        "within_tolerance": transfer.distance_to_G <= config.tolerances.verify_distance,
-        "control_energy": control_energy(u, grid),
-        "final_coefficients": [float(v) for v in transfer.trajectory[-1]],
-    }
+    transfer, report = _transfer_report(config, u, grid)
+    report["final_coefficients"] = [float(v) for v in transfer.trajectory[-1]]
     _write_json(out / "verify_report.json", report)
     print(f"distance_to_G={report['distance_to_G']:.6e} ok={report['within_tolerance']}")
     return 0

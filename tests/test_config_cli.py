@@ -5,7 +5,9 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -489,6 +491,90 @@ class TestCliVerify:
         control.write_text(control.read_text().replace("t,u\n", "x,y\n", 1))
         assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert "header 't,u'" in capsys.readouterr().err
+
+    @staticmethod
+    def _edited(text, edit):
+        """A written 33-row control.csv with one edit, most of them to its lines 6 and 7."""
+        lines = text.splitlines()
+        row6, row7 = lines[5:7]
+        t6, (t7, u7) = row6.split(",")[0], row7.split(",")
+
+        def splice(*rows):
+            return "\n".join(lines[:5] + list(rows) + lines[7:]) + "\n"
+
+        return {
+            "crlf": lambda: text.replace("\n", "\r\n"),
+            "trailing-blank-lines": lambda: text + "\n\n\n",
+            "leading-blank-line": lambda: "\n" + text,
+            "blank-line-inside": lambda: splice(row6, "", row7),
+            "blank-line-for-a-row": lambda: splice("", row7),
+            "three-cell-row": lambda: splice(row6 + ",1.0", row7),
+            # as many commas as rows, but not one on each
+            "three-cells-then-one": lambda: splice(row6 + "," + t7, u7),
+            "header-only": lambda: "t,u\n",
+            # cells numpy does not read, although Python's float() does
+            "underscore-digits": lambda: splice(t6 + ",1_5", row7),
+            "arabic-indic-digit": lambda: splice(t6 + ",\u0661", row7),
+        }[edit]()
+
+    @pytest.mark.parametrize(
+        "edit, code, message",
+        [
+            ("crlf", 0, None),
+            ("trailing-blank-lines", 0, None),
+            ("leading-blank-line", 0, None),
+            ("blank-line-inside", 1, "has 34 samples"),
+            ("blank-line-for-a-row", 1, "line 6 of {path} is not 't,u': ''"),
+            ("three-cell-row", 1, "line 6 of {path} is not 't,u': "),
+            ("three-cells-then-one", 1, "line 6 of {path} is not 't,u': "),
+            ("header-only", 1, "has 0 samples"),
+            ("underscore-digits", 1, "line 6 of {path} is not 't,u': "),
+            ("arabic-indic-digit", 1, "line 6 of {path} is not 't,u': "),
+        ],
+    )
+    def test_verify_edge_inputs(self, tmp_path, capsys, edit, code, message):
+        cfg_path = _write_cfg(tmp_path)
+        out = tmp_path / "out"
+        assert main(["synthesize", "--config", str(cfg_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        control = out / "control.csv"
+        control.write_bytes(self._edited(control.read_text(encoding="utf-8"), edit).encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would be printed to a user's stderr
+            assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if message is None:
+            assert err == ""
+        else:
+            assert err.startswith("configuration error: <control>: ")
+            assert message.format(path=control) in err
+            assert err.count("\n") == 1, err  # the one message line and nothing else
+
+    def test_control_round_trips_bit_exactly(self, tmp_path):
+        # every double the writer's %.17g prints, subnormal, -0.0 and the largest included,
+        # reads back as the same bits
+        grid = TimeGrid(1.0, 999)
+        rng = np.random.default_rng(7)
+        u = rng.normal(size=1000) * 10.0 ** rng.integers(-300, 300, size=1000)
+        u[:4] = (-0.0, 5e-324, -1.7976931348623157e308, 2.2250738585072014e-308)
+        path = tmp_path / "control.csv"
+        cli._write_csv(path, ["t", "u"], np.column_stack([grid.nodes, u]))
+        assert cli._read_control_csv(path, grid).tobytes() == u.tobytes()
+
+    def test_parse_memory_is_bounded_by_the_file(self, tmp_path):
+        # the rows are converted in one call, not held as a Python string per cell
+        cfg_path = _write_cfg(tmp_path, n_steps=2**18)
+        out = tmp_path / "out"
+        assert main(["synthesize", "--config", str(cfg_path), "--out", str(out)]) == 0
+        control, grid = out / "control.csv", TimeGrid(1.0, 2**18)
+        tracemalloc.start()
+        try:
+            u = cli._read_control_csv(control, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert u.size == grid.nodes.size
+        assert peak <= 5 * control.stat().st_size, peak / control.stat().st_size
 
 
 class TestCliSweep:

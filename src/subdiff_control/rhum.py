@@ -56,6 +56,16 @@ COND_WARN_THRESHOLD = 1e12
 GRAMIAN_QUAD_N = 128  # Gauss-Jacobi nodes of ``assemble_gramian``
 
 
+def _norm(x: np.ndarray) -> float:
+    """|x|_2: ``np.linalg.norm``'s value, or where its squares overflow or underflow, max |x_i| |x / max |x_i||."""
+    with np.errstate(over="ignore"):
+        r = float(np.linalg.norm(x))
+    if r in (0.0, np.inf) and x.any() and np.all(np.isfinite(x)):
+        scale = float(np.max(np.abs(x)))
+        r = scale * float(np.linalg.norm(x / scale))
+    return r
+
+
 @dataclass(frozen=True)
 class AdjointState:
     """Adjoint seed phi0 with per-mode evolution factor t^(a-1) E_{a,a}(lambda_i t^a)."""
@@ -119,7 +129,7 @@ class Gramian:
     def least_norm(self, c: np.ndarray) -> tuple:
         """(v, phi, miss): ``solve(c)`` at delta = 0 and its miss |B^T v - c| = |A u - c|."""
         v, phi = self.solve(c)
-        return v, phi, float(np.linalg.norm(self.factor.T @ v - c))
+        return v, phi, _norm(self.factor.T @ v - c)
 
     def condition_number(self) -> float:
         """(sigma_max / sigma_min)^2 over G's m eigenvalues, or inf where sigma_min is below the rank cut."""
@@ -207,7 +217,7 @@ def require_reachable(system: SteeringSystem, verify_distance: float) -> tuple:
     """
     gram, c = system.gramian, system.c
     dead = dead_modes(system.influence, system.target)
-    if dead and float(np.linalg.norm(c)) != 0.0:
+    if dead and c.any():
         raise NonStrategicError(dead)
     v, phi, miss = gram.least_norm(c)
     if not miss <= verify_distance:
@@ -245,7 +255,7 @@ def solve_rhum(config: ProblemConfig) -> RhumSolution:
     system = steering_system(config)
     v, phi_hat, miss = require_reachable(system, config.tolerances.verify_distance)
     c = system.c
-    if float(np.linalg.norm(c)) == 0.0:  # includes G = whole space (no annihilator)
+    if not c.any():  # includes G = whole space (no annihilator)
         zero = np.zeros(system.grid.n_steps + 1)
         return RhumSolution(np.zeros(c.size), zero, 0.0, system)
     cond = system.gramian.condition_number()
@@ -256,7 +266,7 @@ def solve_rhum(config: ProblemConfig) -> RhumSolution:
             RuntimeWarning,
             stacklevel=2,
         )
-    resid = miss / float(np.linalg.norm(c))  # = |G phi_hat - c| / |c|
+    resid = miss / _norm(c)  # = |G phi_hat - c| / |c|
     return RhumSolution(phi_hat, v / np.sqrt(system.grid.weights), resid, system)
 
 

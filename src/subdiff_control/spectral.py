@@ -16,8 +16,11 @@ the step midpoint (average of the adjacent node samples).  The quadrature is a
 discrete convolution of the kernel masses with the midpoint control, evaluated
 for all modes at once as one real-FFT product of length 2 n_steps.  None of
 this depends on the actuator: ``_modes`` memoizes one ``_ModeTable`` per
-(a, grid, N) with the node table, the masses, their spectrum and the
-unit-influence terminal map, so a warm simulation is two transforms.
+(a, grid, N) with the node table, the masses' spectrum and the
+unit-influence terminal map, so a warm simulation is two transforms.  The
+masses themselves are not kept: ``_modes`` drops them once the spectrum and
+the terminal map are built, and ``kernel_step_integrals`` differences the
+cached node table again for the few readers that want them.
 """
 
 from __future__ import annotations
@@ -150,7 +153,8 @@ def propagator_factors(alpha: float, grid: TimeGrid, n_modes: int) -> np.ndarray
     """E_{a,1}(lambda_i * t_k^a) at the grid nodes; shape (N, n_steps+1), read-only.
 
     This is the only place the node table is evaluated.  Consumers read it
-    as ``_modes(...).factors``, which memoizes it, so a warm problem builds nothing.
+    as ``_modes(...).factors``, which memoizes it, so a warm problem builds nothing;
+    ``kernel_step_integrals`` differences that cached table on every call.
     """
     _check_alpha(alpha)
     lam, t_a = eigenvalues(n_modes), grid.nodes[1:] ** alpha
@@ -166,26 +170,36 @@ def propagator_factors(alpha: float, grid: TimeGrid, n_modes: int) -> np.ndarray
 
 @dataclass(frozen=True)
 class _ModeTable:
-    """What one (a, grid, N) fixes for every actuator; all four arrays are read-only."""
+    """What one (a, grid, N) fixes for every actuator; all three arrays are read-only.
+
+    The step masses, from which the spectrum and the terminal map are built,
+    are not kept: no pipeline step reads them, and ``kernel_step_integrals``
+    forms them again from ``factors``, bit for bit.
+    """
 
     factors: np.ndarray   # (N, n_steps+1), see ``propagator_factors``
-    masses: np.ndarray    # (N, n_steps), see ``kernel_step_integrals``
     spectrum: np.ndarray  # (N, n_steps+1): rfft of the masses at length 2 n_steps
     terminal: np.ndarray  # (N, n_steps+1): ``terminal_control_map`` at unit influence
+
+
+def _step_masses(factors: np.ndarray) -> np.ndarray:
+    """The masses of ``kernel_step_integrals``: the node table differenced along t, over lambda_i."""
+    masses = np.diff(factors, axis=1)
+    masses /= eigenvalues(factors.shape[0])[:, None]
+    return masses
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _modes(alpha: float, grid: TimeGrid, n_modes: int) -> _ModeTable:
     factors = propagator_factors(alpha, grid, n_modes)
-    masses = np.diff(factors, axis=1)
-    masses /= eigenvalues(n_modes)[:, None]
+    masses = _step_masses(factors)
     spectrum = np.fft.rfft(masses, n=2 * grid.n_steps, axis=1)
     terminal = np.empty_like(factors)
     for rows in _row_blocks(n_modes, grid.n_steps):  # step j, looking back from T, has mass n-1-j
         terminal[rows] = _trapezoid_split(masses[rows, ::-1])
-    for arr in (masses, spectrum, terminal):
+    for arr in (spectrum, terminal):
         arr.setflags(write=False)
-    return _ModeTable(factors, masses, spectrum, terminal)
+    return _ModeTable(factors, spectrum, terminal)
 
 
 def kernel_step_integrals(alpha: float, grid: TimeGrid, n_modes: int) -> np.ndarray:
@@ -194,9 +208,12 @@ def kernel_step_integrals(alpha: float, grid: TimeGrid, n_modes: int) -> np.ndar
     g[i, m] = integral over [mh, (m+1)h] of tau^(a-1) E_{a,a}(lambda_i tau^a),
     evaluated in closed form through the antiderivative E_{a,1}(lambda tau^a)
     (d/dt E_{a,1}(lambda t^a) = lambda t^(a-1) E_{a,a}(lambda t^a)), so the
-    singular corner costs no quadrature error at all.
+    singular corner costs no quadrature error at all.  Formed from the cached
+    node table on each call.
     """
-    return _modes(alpha, grid, n_modes).masses
+    masses = _step_masses(_modes(alpha, grid, n_modes).factors)
+    masses.setflags(write=False)
+    return masses
 
 
 def mild_trajectory(

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -374,6 +375,19 @@ class TestCliFailures:
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         assert field in proc.stderr
+
+    # the squares of a state near 1e180 overflow a double: the miss is still formed finite and warns of nothing
+    @pytest.mark.parametrize("target_modes", [[], [2, 3]], ids=["no-target", "modes-2-3"])
+    def test_huge_state_misses_by_a_finite_distance(self, tmp_path, target_modes):
+        cfg_path = _write_cfg(tmp_path, alpha=0.5, n_steps=64, y0=[1e180, 0.0, 0.0], target_modes=target_modes)
+        refused = _run_cli("synthesize", cfg_path, tmp_path / "out")
+        assert refused.returncode == 3, refused.stderr
+        miss = float(re.search(r"misses G by (\S+) >", refused.stderr).group(1))
+        assert 1e100 < miss < math.inf
+        analyzed = _run_cli("analyze", cfg_path, tmp_path / "out")
+        assert analyzed.returncode == 0, analyzed.stderr
+        for proc in (refused, analyzed):
+            assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
 
     # a node table that could not be allocated (7 TiB, or beyond numpy's size limit) is a config error
     @pytest.mark.parametrize("n_steps", [10**12, 10**400], ids=["1e12", "1e400"])

@@ -297,6 +297,14 @@ class TestSolve:
         u2 = solve_rhum(cfg2).u_star
         assert np.allclose(u2, 2.0 * u1, rtol=1e-10, atol=1e-12)
 
+    def test_control_scales_linearly_where_the_squares_underflow(self):
+        # the free final state of y0 = 1e-200 e1 is nonzero, though its squares round to 0
+        unit = solve_rhum(_zone_config())
+        tiny = solve_rhum(_zone_config(y0=(1e-200, 0.0, 0.0, 0.0, 0.0)))
+        scale = np.max(np.abs(unit.u_star))
+        np.testing.assert_allclose(tiny.u_star / 1e-200, unit.u_star, rtol=1e-10, atol=1e-12 * scale)
+        assert tiny.residual < 1e-12
+
     def test_solve_and_verify_end_to_end(self):
         cfg = _zone_config(n_steps=256)
         sol = solve_rhum(cfg)

@@ -1,5 +1,6 @@
 """Tests for the eigenmode solution operators and the mild solution."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -136,38 +137,44 @@ class TestPropagators:
         assert peak <= 12 * table.nbytes, peak / table.nbytes
 
     def test_synthesize_memory_peak(self, tmp_path):
-        # synthesize on a cold table at N=12, n=65536: the mode table, the Gramian and the
-        # trajectory are kept, but no temporary of the table build, the convolution or the
-        # CSV writer grows the peak much past them
+        # synthesize, verify and analyze, each on a cold table at N=12, n=65536: the mode table,
+        # the Gramian and the trajectory are kept, but no temporary of the table build, the
+        # convolution, the CSV writer or the control parse grows the peak much past them
         cfg = {"alpha": 0.6, "T": 1.0, "n_modes": 12, "n_steps": 65536, "y0": [1.0, 0.5, -0.25] + [0.0] * 9,
                "actuator": {"kind": "zone", "a": 0.2, "b": 0.5}, "target_modes": list(range(4, 13))}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg), encoding="utf-8")
-        spectral._modes.cache_clear()
-        tracemalloc.start()
-        try:
-            code = cli.main(["synthesize", "--config", str(path), "--out", str(tmp_path / "out")])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-            spectral._modes.cache_clear()
         table_bytes = 12 * 65537 * 8
-        assert code == 0
-        assert peak <= 8 * table_bytes, peak / table_bytes
+        for command in ("synthesize", "verify", "analyze"):  # verify reads synthesize's control.csv
+            spectral._modes.cache_clear()
+            tracemalloc.start()
+            try:
+                code = cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                spectral._modes.cache_clear()
+            assert code == 0, command
+            assert peak <= 7 * table_bytes, (command, peak / table_bytes)
 
     def test_blocks_change_no_bit(self, monkeypatch):
-        # the table, masses, spectrum, terminal map and convolution are the same bits
+        # the table, spectrum, terminal map, masses and convolution are the same bits
         # whether a block holds every element or a few; alpha 0.45 mixes the algebraic
         # and contour regimes, and 13 elements split each 40-node row into 4 blocks
         grid = TimeGrid(1.0, 40)
         rng = np.random.default_rng(3)
         y0, infl, u = rng.normal(size=7), rng.normal(size=7), rng.normal(size=41)
-        whole = spectral._modes.__wrapped__(0.45, grid, 7)
+        spectral._modes.cache_clear()
+        whole = spectral._modes(0.45, grid, 7)
+        masses = kernel_step_integrals(0.45, grid, 7)
         traj = mild_trajectory(0.45, grid, y0, infl, u)
         monkeypatch.setattr(spectral, "BLOCK_ELEMENTS", 13)
-        blocked = spectral._modes.__wrapped__(0.45, grid, 7)
-        for name in ("factors", "masses", "spectrum", "terminal"):
+        spectral._modes.cache_clear()
+        blocked = spectral._modes(0.45, grid, 7)
+        assert blocked is not whole
+        for name in ("factors", "spectrum", "terminal"):
             assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes(), name
+        assert kernel_step_integrals(0.45, grid, 7).tobytes() == masses.tobytes()
         assert mild_trajectory(0.45, grid, y0, infl, u).tobytes() == traj.tobytes()
 
     @pytest.mark.parametrize("alpha", [0.3, 0.7])
@@ -329,9 +336,13 @@ class TestFFTSimulator:
         modes = spectral._modes(0.45, grid, 4)
         before = modes.spectrum.copy()
         assert modes.spectrum.shape == (4, grid.n_steps + 1)
-        for arr in (modes.factors, modes.masses, modes.spectrum, modes.terminal):
+        masses = kernel_step_integrals(0.45, grid, 4)
+        assert [f.name for f in dataclasses.fields(modes)] == ["factors", "spectrum", "terminal"]
+        for arr in (modes.factors, modes.spectrum, modes.terminal, masses):
             with pytest.raises(ValueError):
                 arr[0, 0] = 0.0
+        # the masses are the cached node table differenced, bit for bit
+        assert masses.tobytes() == (np.diff(modes.factors, axis=1) / eigenvalues(4)[:, None]).tobytes()
         rng = np.random.default_rng(3)
         mild_trajectory(0.45, grid, rng.normal(size=4), rng.normal(size=4), rng.normal(size=65))
         terminal_control_map(0.45, grid, rng.normal(size=4))
